@@ -45,14 +45,21 @@ race:
 # core count of the machine running it: GOMAXPROCS above the physical
 # cores forces preemption inside the lock-free owner/thief windows that
 # a matched count rarely interleaves.
+#
+# The harness leg runs whole RealRun trials (the churn suites and the
+# time-to-terminate bound, which sweeps its own GOMAXPROCS shapes up to
+# 4×nproc), so it takes its own, narrower pattern and a smaller count.
 STRESS_COUNT ?= 20
 STRESS_PROCS ?= 2 8 32
-STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback
+STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback|NoFalseEmpty
+STRESS_HARNESS_RUN ?= RealRunChurn|RealRunTerminates
+STRESS_HARNESS_COUNT ?= 3
 
 stress:
 	@for procs in $(STRESS_PROCS); do \
 		echo "== stress: GOMAXPROCS=$$procs -race -count=$(STRESS_COUNT) =="; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run '$(STRESS_RUN)' ./internal/segment ./internal/core || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_HARNESS_COUNT) -run '$(STRESS_HARNESS_RUN)' ./internal/harness || exit 1; \
 	done
 
 fuzz-smoke:

@@ -35,11 +35,11 @@ const (
 // supplies the substrate (mutex-protected segments, directed-add
 // mailboxes, wall-clock delays) and keeps the per-operation accounting.
 type Handle[T any] struct {
-	pool       *Pool[T]
-	id         int
-	eng        *engine.Engine
-	steal      policy.StealAmount // resolved steal amount, cached off the engine for the probe loop
-	sub        substrate[T]
+	pool     *Pool[T]
+	id       int
+	eng      *engine.Engine
+	steal    policy.StealAmount // resolved steal amount, cached off the engine for the probe loop
+	sub      substrate[T]
 	stealBuf []T // reused steal-transfer buffer (reserve under the victim's lock, deposit outside)
 	stats    metrics.PoolStats
 	tr       *trace.Recorder // flight recorder (nil unless Options.TraceBuf > 0)
@@ -170,7 +170,7 @@ func (h *Handle[T]) Put(v T) {
 	p := h.pool
 	start := h.now()
 	if p.boxes != nil && p.giftOut(h.id, []T{v}) == 1 {
-		p.version.Add(1)
+		p.published()
 		if p.opts.CollectStats {
 			h.stats.DirectedGives++
 			h.stats.RecordAdd(h.since(start))
@@ -191,7 +191,7 @@ func (h *Handle[T]) Put(v T) {
 		// lock-guarded foreign overflow.
 		p.segs[target].dq.AddForeign(v)
 	}
-	p.version.Add(1)
+	p.published()
 	if p.opts.CollectStats {
 		h.stats.RecordAdd(h.since(start))
 	}
@@ -223,7 +223,7 @@ func (h *Handle[T]) PutAll(items []T) {
 			h.tr.Record(trace.GiftSend, -1, int32(gifted))
 		}
 		if gifted == len(items) {
-			p.version.Add(1)
+			p.published()
 			if p.opts.CollectStats {
 				h.stats.RecordBatchAdd(h.since(start), gifted)
 			}
@@ -237,7 +237,7 @@ func (h *Handle[T]) PutAll(items []T) {
 	} else {
 		p.segs[target].dq.AddForeignAll(items[gifted:])
 	}
-	p.version.Add(1)
+	p.published()
 	if p.opts.CollectStats {
 		h.stats.RecordBatchAdd(h.since(start), len(items))
 	}
@@ -282,7 +282,7 @@ func (h *Handle[T]) TryPut(v T) bool {
 			placed = s.dq.AddForeignIfUnder(v, cap)
 		}
 		if placed {
-			p.version.Add(1)
+			p.published()
 			if p.opts.CollectStats {
 				h.stats.RecordAdd(h.since(start))
 			}
@@ -326,10 +326,12 @@ func (h *Handle[T]) Get() (T, bool) {
 	p.opts.Delay.Delay(numa.AccessRemove, h.id, h.id)
 	v, ok := p.segs[h.id].dq.PopBottom()
 	if ok {
+		// One clock read serves both the stats and the controller.
+		elapsed := h.since(start)
 		if p.opts.CollectStats {
-			h.stats.RecordLocalRemove(h.since(start))
+			h.stats.RecordLocalRemove(elapsed)
 		}
-		h.observe(policy.Feedback{Got: 1, Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Got: 1, Elapsed: elapsed})
 		return v, true
 	}
 
@@ -377,7 +379,7 @@ func (h *Handle[T]) parkLocal(items []T) {
 	} else {
 		p.segs[t].dq.AddForeignAll(items)
 	}
-	p.version.Add(1)
+	p.published()
 }
 
 // resolveSearch settles the gift races after one engine search. A
@@ -432,10 +434,11 @@ func (h *Handle[T]) GetN(max int) []T {
 	s := &p.segs[h.id]
 	out := s.dq.PopBottomN(max)
 	if len(out) > 0 {
+		elapsed := h.since(start)
 		if p.opts.CollectStats {
-			h.stats.RecordBatchLocalRemove(h.since(start), len(out))
+			h.stats.RecordBatchLocalRemove(elapsed, len(out))
 		}
-		h.observe(policy.Feedback{Got: len(out), Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Got: len(out), Elapsed: elapsed})
 		return out
 	}
 
@@ -569,8 +572,17 @@ func (w *substrate[T]) Probe(sIdx, want int) int {
 	// emptiness over it; raised before the claims begin so there is no
 	// gap, dropped only after the deposit's version bump so a searcher
 	// that reads zero is guaranteed to see the bump and re-arm.
-	p.moving.Add(1)
+	//
+	// An empty victim is skipped before the count is raised: with many
+	// searchers sharing few Ps, raising it on every fruitless probe keeps
+	// TransfersInFlight almost always true, and the rule would never
+	// certify an all-searching empty pool. Len never undercounts, so a
+	// zero here is a genuinely empty probe.
 	src := &p.segs[sIdx]
+	if src.dq.Len() == 0 {
+		return 0
+	}
+	p.moving.Add(1)
 	buf := src.dq.StealInto(h.stealBuf[:0], func(n int) int {
 		// Consulted under the victim's steal lock, only when n > 0 —
 		// the same point the lock-era path sized its TakeOut.

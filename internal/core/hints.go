@@ -232,7 +232,8 @@ func (p *Pool[T]) giftOut(giver int, items []T) int {
 // giftsInFlight reports whether any mailbox holds a banked gift whose
 // owner is still searching. Those elements are about to surface: the
 // owner's next abort check ends its search with the gift, and any surplus
-// is parked in its segment with a version bump. A covered search must
+// is parked in its segment and published (a version bump whenever a
+// search is still in flight). A covered search must
 // therefore not certify emptiness while one exists. A gift stranded after
 // its owner's search ended (the give/abort race the paper accepts) does
 // not block: it surfaces on the owner's next remove.

@@ -179,11 +179,31 @@ type Pool[T any] struct {
 	members   *engine.Membership // dynamic membership: alive/victim bits + the coverage epoch
 	base      time.Time          // monotonic time zero for op timing and the flight recorder
 
-	lookers atomic.Int32  // registered handles currently inside a search
-	open    atomic.Int32  // handles registered and not yet closed
-	moving  atomic.Int32  // steals mid-transfer (victim unlocked, surplus not yet deposited)
-	version atomic.Uint64 // bumped on every mutation that can feed a search
+	lookers atomic.Int32 // registered handles currently inside a search
+	open    atomic.Int32 // handles registered and not yet closed
+	moving  atomic.Int32 // steals mid-transfer (victim unlocked, surplus not yet deposited)
+	// version is the Coverage rule's staleness counter: it must change
+	// across every mutation a search's probes could have missed. Owner
+	// adds (Put, PutAll, TryPut, parked gifts) bump it only through
+	// published, that is only while some search is in flight, so two
+	// owners that never steal from each other do not bounce this cache
+	// line on every add. That is exact because Go's atomics are
+	// sequentially consistent: an adder whose lookers load reads 0 pushed
+	// its element before every searcher's Enter, and so before every
+	// probe those searches make — they see the element itself and need no
+	// bump. Relocations (steal deposits, kill-time redistribution,
+	// SeedEvenly) bump unconditionally.
+	version atomic.Uint64
 	closed  atomic.Bool
+}
+
+// published records an add for the Coverage rule. Call it after the
+// element is in its segment or mailbox: the bump is skipped when no
+// search is in flight (see the version field for why that is exact).
+func (p *Pool[T]) published() {
+	if p.lookers.Load() > 0 {
+		p.version.Add(1)
+	}
 }
 
 // New creates a pool with the given options.

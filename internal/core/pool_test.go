@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -487,4 +488,84 @@ func TestStaleSearchRearmsOnMutation(t *testing.T) {
 		}
 	}
 	t.Fatal("consumer never received the late element")
+}
+
+// No false empty across an add that skipped its version bump: an owner's
+// Put bumps the pool version only while a search is in flight, which is
+// exact only if every search that starts after the Put can see the
+// element. Handle B puts one element at a random moment and then raises
+// a flag; handle A loops Get. A Get that began after the flag was raised
+// must find the element (a Get overlapping the Put may legally miss it).
+func TestNoFalseEmptyAfterUnbumpedPut(t *testing.T) {
+	const rounds = 400
+	for _, kind := range search.Kinds() {
+		p := newTestPool(t, Options{Segments: 2, Search: kind, Seed: 3})
+		a, b := p.Handle(0), p.Handle(1)
+		a.Register()
+		b.Register()
+		r := rng.NewXoshiro256(uint64(kind))
+		for round := 0; round < rounds; round++ {
+			var put atomic.Bool
+			done := make(chan struct{})
+			pause := r.Intn(64)
+			go func() {
+				defer close(done)
+				for i := 0; i < pause; i++ {
+					runtime.Gosched()
+				}
+				b.Put(round)
+				put.Store(true)
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				after := put.Load()
+				v, ok := a.Get()
+				if ok {
+					if v != round {
+						t.Fatalf("%v round %d: got %d", kind, round, v)
+					}
+					break
+				}
+				if after {
+					t.Fatalf("%v round %d: Get returned empty after the Put had completed", kind, round)
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%v round %d: element never surfaced", kind, round)
+				}
+			}
+			<-done
+		}
+	}
+}
+
+// Owner adds write the pool-wide version only while a search is in
+// flight: with no searcher the line stays untouched, and with one every
+// add path bumps it so the searcher's Coverage pass re-arms.
+func TestAddsBumpVersionOnlyWhileSearching(t *testing.T) {
+	p := newTestPool(t, Options{Segments: 2, SegmentCap: 8})
+	searcher, adder := p.Handle(0), p.Handle(1)
+	searcher.Register()
+	adder.Register()
+	state := coverageState[int]{p}
+	adds := map[string]func(){
+		"Put":       func() { adder.Put(1) },
+		"PutAll":    func() { adder.PutAll([]int{1, 2}) },
+		"TryPut":    func() { adder.TryPut(1) },
+		"parkLocal": func() { adder.parkLocal([]int{1}) },
+	}
+	for name, add := range adds {
+		p.Drain()
+		v := state.Version()
+		add()
+		if got := state.Version(); got != v {
+			t.Errorf("%s with no search in flight: version %d -> %d, want unchanged", name, v, got)
+		}
+		searcher.sub.Enter(1)
+		v = state.Version()
+		add()
+		if got := state.Version(); got == v {
+			t.Errorf("%s during a search: version unchanged, want a bump", name)
+		}
+		searcher.sub.Exit()
+	}
 }

@@ -29,8 +29,12 @@ type Termination interface {
 // CoverageState is the pool-wide evidence the Coverage rule consults,
 // implemented by the real pool.
 type CoverageState interface {
-	// Version is a counter bumped on every mutation that could feed a
-	// search (adds, steals, parked gifts).
+	// Version is a counter that changes across every mutation a
+	// search's probes could have missed: every relocation of elements
+	// (steal deposits, redistribution), and every add made while a
+	// search is in flight. An add made while no search is in flight
+	// need not bump it: it precedes every later search's probes, which
+	// see the element itself.
 	Version() uint64
 	// AllSearching reports the paper's livelock observation: every
 	// registered, unclosed handle is simultaneously inside a search.

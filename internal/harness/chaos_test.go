@@ -3,7 +3,9 @@ package harness
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"pools/internal/numa"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -58,6 +60,13 @@ func TestChaosSweepDeterministic(t *testing.T) {
 // RealRun under a wall-clock churn schedule: kills happen, every kill
 // is revived, and no element is lost or invented across the
 // transitions (conservation: fill + adds - removes = remaining).
+//
+// The kill schedule runs on the wall clock, so the run must last long
+// enough for it to fire however fast the pool is. A per-access busy-wait
+// (Butterfly costs at 200 ns per virtual µs: ~14 µs an add, ~22 µs a
+// remove) gives the 6000 operations a floor of tens of milliseconds of
+// wall time, many KillEvery gaps, where the undelayed pool finishes in
+// a few milliseconds and often before the first kill.
 func TestRealRunChurn(t *testing.T) {
 	res, err := RealRun(RealRunConfig{
 		Workload: workload.Config{
@@ -69,6 +78,7 @@ func TestRealRunChurn(t *testing.T) {
 		},
 		Search: search.Tree,
 		Seed:   42,
+		Delay:  numa.Delayer{Model: numa.ButterflyCosts(), Scale: 200 * time.Nanosecond},
 		Churn:  workload.Churn{KillEvery: 300, ReviveAfter: 200, Drain: true, MaxKills: 8},
 	})
 	if err != nil {
