@@ -46,21 +46,21 @@ race:
 # cores forces preemption inside the lock-free owner/thief windows that
 # a matched count rarely interleaves.
 #
-# The harness leg runs whole RealRun trials (the churn suites and the
-# time-to-terminate bound, which sweeps its own GOMAXPROCS shapes up to
-# 4×nproc), so it takes its own, narrower pattern and a smaller count.
+# The harness leg runs whole RealRun trials, so it takes a narrower
+# pattern and a smaller count: the churn suites once per shape, and the
+# time-to-terminate bound once overall, since it sweeps its own
+# GOMAXPROCS shapes (1, nproc, 4×nproc).
 STRESS_COUNT ?= 20
 STRESS_PROCS ?= 2 8 32
 STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback|NoFalseEmpty
-STRESS_HARNESS_RUN ?= RealRunChurn|RealRunTerminates
-STRESS_HARNESS_COUNT ?= 3
 
 stress:
 	@for procs in $(STRESS_PROCS); do \
 		echo "== stress: GOMAXPROCS=$$procs -race -count=$(STRESS_COUNT) =="; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run '$(STRESS_RUN)' ./internal/segment ./internal/core || exit 1; \
-		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_HARNESS_COUNT) -run '$(STRESS_HARNESS_RUN)' ./internal/harness || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=3 -run 'RealRunChurn' ./internal/harness || exit 1; \
 	done
+	$(GO) test -race -count=3 -run 'RealRunTerminates' ./internal/harness
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDequeScript -fuzztime=10s ./internal/segment

@@ -576,8 +576,14 @@ func (w *substrate[T]) Probe(sIdx, want int) int {
 	// An empty victim is skipped before the count is raised: with many
 	// searchers sharing few Ps, raising it on every fruitless probe keeps
 	// TransfersInFlight almost always true, and the rule would never
-	// certify an all-searching empty pool. Len never undercounts, so a
-	// zero here is a genuinely empty probe.
+	// certify an all-searching empty pool. Len can read zero over a
+	// non-empty segment only while a push or claim races its two loads
+	// (the owner pushes and a thief claims between them). Any push in
+	// that window happens while this prober is counted in lookers, so it
+	// is either an owner add, whose published() bumps the version, or a
+	// steal deposit, which bumps unconditionally and holds moving until
+	// then. Either way the search re-arms (see Pool.version), so skipping
+	// on a zero never lets the Coverage rule certify over an element.
 	src := &p.segs[sIdx]
 	if src.dq.Len() == 0 {
 		return 0

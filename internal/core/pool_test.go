@@ -540,32 +540,42 @@ func TestNoFalseEmptyAfterUnbumpedPut(t *testing.T) {
 
 // Owner adds write the pool-wide version only while a search is in
 // flight: with no searcher the line stays untouched, and with one every
-// add path bumps it so the searcher's Coverage pass re-arms.
+// add path bumps it so the searcher's Coverage pass re-arms. With
+// directed adds on, the searcher's Enter raises its hungry flag, so Put
+// and PutAll take their gift branches instead; those must bump too.
 func TestAddsBumpVersionOnlyWhileSearching(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 2, SegmentCap: 8})
-	searcher, adder := p.Handle(0), p.Handle(1)
-	searcher.Register()
-	adder.Register()
-	state := coverageState[int]{p}
-	adds := map[string]func(){
-		"Put":       func() { adder.Put(1) },
-		"PutAll":    func() { adder.PutAll([]int{1, 2}) },
-		"TryPut":    func() { adder.TryPut(1) },
-		"parkLocal": func() { adder.parkLocal([]int{1}) },
-	}
-	for name, add := range adds {
-		p.Drain()
-		v := state.Version()
-		add()
-		if got := state.Version(); got != v {
-			t.Errorf("%s with no search in flight: version %d -> %d, want unchanged", name, v, got)
+	for _, directed := range []bool{false, true} {
+		p := newTestPool(t, Options{Segments: 2, SegmentCap: 8, DirectedAdds: directed})
+		searcher, adder := p.Handle(0), p.Handle(1)
+		searcher.Register()
+		adder.Register()
+		state := coverageState[int]{p}
+		adds := map[string]func(){
+			"Put":       func() { adder.Put(1) },
+			"PutAll":    func() { adder.PutAll([]int{1, 2}) },
+			"TryPut":    func() { adder.TryPut(1) },
+			"parkLocal": func() { adder.parkLocal([]int{1}) },
 		}
-		searcher.sub.Enter(1)
-		v = state.Version()
-		add()
-		if got := state.Version(); got == v {
-			t.Errorf("%s during a search: version unchanged, want a bump", name)
+		gifts := map[string]bool{"Put": directed, "PutAll": directed}
+		for name, add := range adds {
+			p.Drain()
+			v := state.Version()
+			add()
+			if got := state.Version(); got != v {
+				t.Errorf("directed=%v %s with no search in flight: version %d -> %d, want unchanged",
+					directed, name, v, got)
+			}
+			searcher.sub.Enter(1)
+			v = state.Version()
+			add()
+			if got := state.Version(); got == v {
+				t.Errorf("directed=%v %s during a search: version unchanged, want a bump", directed, name)
+			}
+			if banked := p.boxes != nil && p.boxes[0].banked.Load() > 0; banked != gifts[name] {
+				t.Errorf("directed=%v %s during a search: gift landed = %v, want %v",
+					directed, name, banked, gifts[name])
+			}
+			searcher.sub.Exit()
 		}
-		searcher.sub.Exit()
 	}
 }
