@@ -6,7 +6,7 @@ GO ?= go
 # (baseline was 87.9% when the gate was introduced).
 COVER_FLOOR ?= 85.0
 
-.PHONY: build test race fuzz-smoke bench-smoke vet lint stress cover policy-smoke docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
+.PHONY: build test race fuzz-smoke bench-smoke vet lint stress cover docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -80,10 +80,6 @@ cover:
 		   if (!found) { print "coverage gate: no total: line in cover.txt"; exit 1 } \
 		   if (pct < floor) { printf "coverage %.1f%% is below the %.1f%% gate\n", pct, floor; exit 1 } \
 		   printf "coverage %.1f%% (gate %.1f%%)\n", pct, floor }' cover.txt
-
-policy-smoke:
-	$(GO) run ./cmd/poolbench -exp policy -trials 1 -ops 1000 -csv > /dev/null
-	$(GO) run ./cmd/poolbench -exp hier -trials 1 -ops 1000 -csv > /dev/null
 
 # Benchmark-regression gate: rerun the bench suite and compare per-
 # benchmark ns/op against the committed baseline via the geomean rule
@@ -178,4 +174,4 @@ chaos-smoke:
 	grep -q 'recovered ' chaos-smoke.out
 	rm -f chaos-smoke.out
 
-ci: build vet lint test race stress fuzz-smoke bench-smoke cover policy-smoke docs-check trace-smoke introspect-smoke chaos-smoke bench-check
+ci: build vet lint test race stress fuzz-smoke bench-smoke cover docs-check trace-smoke introspect-smoke chaos-smoke bench-check

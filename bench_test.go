@@ -81,11 +81,11 @@ func BenchmarkAlgos(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := harness.AlgoCompare(benchCfg())
 		for _, r := range rows {
-			if r.Scenario != "random 30% adds (sparse)" {
+			if r.Case != "random 30% adds (sparse)" {
 				continue
 			}
-			b.ReportMetric(r.Point.SegmentsExamined, r.Kind.String()+"-segs/steal")
-			b.ReportMetric(r.Point.AvgOpTime/1000, r.Kind.String()+"-ms/op")
+			b.ReportMetric(r.Point.SegmentsExamined, r.Series+"-segs/steal")
+			b.ReportMetric(r.Point.AvgOpTime/1000, r.Series+"-ms/op")
 		}
 	}
 }
@@ -119,14 +119,10 @@ func BenchmarkStealPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := harness.StealPolicyAblation(cfg)
 		for _, r := range rows {
-			if r.Kind != search.Linear {
+			if r.Series != search.Linear.String() {
 				continue
 			}
-			name := "half"
-			if r.StealOne {
-				name = "one"
-			}
-			b.ReportMetric(r.Point.StealsPerOp, "steal-"+name+"-steals/op")
+			b.ReportMetric(r.Point.StealsPerOp, r.Case+"-steals/op")
 		}
 	}
 }
@@ -439,14 +435,14 @@ func BenchmarkTreeRounds(b *testing.B) {
 // BenchmarkDirectedAdds compares the Section 5 hint extension against the
 // plain pool on a producer/consumer handoff loop.
 func BenchmarkDirectedAdds(b *testing.B) {
-	for _, directed := range []bool{false, true} {
-		name := "off"
-		if directed {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		place pools.Placement
+	}{{"off", nil}, {"on", pools.GiftAllPlacement{}}} {
+		b.Run(tc.name, func(b *testing.B) {
 			p, err := pools.New[int](pools.Options{
-				Segments: 4, Search: pools.SearchLinear, DirectedAdds: directed,
+				Segments: 4, Search: pools.SearchLinear,
+				Policies: pools.PolicySet{Place: tc.place},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -4,23 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
-)
 
-func TestRunSingleExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "fig3", "-trials", "1", "-ops", "800", "-fill", "64"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"## fig3", "Figure 3", "seg  0 P", "queueing delay"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
+	"pools/internal/harness"
+)
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
@@ -36,131 +26,47 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-func TestRunAppExperimentSmallDepth(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "app", "-depth", "1", "-trials", "1"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "global-stack") || !strings.Contains(out.String(), "yes") {
-		t.Errorf("app output incomplete:\n%s", out.String())
-	}
-}
-
 func TestExperimentNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range experiments {
-		if seen[e.name] {
-			t.Errorf("duplicate experiment name %q", e.name)
+	for _, e := range harness.Experiments() {
+		if seen[e.Name] {
+			t.Errorf("duplicate experiment name %q", e.Name)
 		}
-		seen[e.name] = true
+		seen[e.Name] = true
 	}
 }
 
-func TestRunCSVOutput(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "fig7", "-trials", "1", "-ops", "600", "-fill", "64", "-csv"}, &out)
+// TestExperimentsCatalogMatchesDocs checks docs/EXPERIMENTS.md against
+// the registry: every experiment has a catalog heading (a heading like
+// `fig3`–`fig6` covers the whole numbered range), and no heading names an
+// experiment poolbench does not run.
+func TestExperimentsCatalogMatchesDocs(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "EXPERIMENTS.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "producers,stolen_per_steal_unbalanced") {
-		t.Errorf("CSV block missing:\n%s", out.String())
-	}
-}
-
-func TestRunBurstExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "burst", "-trials", "1", "-ops", "800", "-fill", "64", "-csv"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"## burst", "batch size", "µs/element", "batch,per_element_us"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("burst output missing %q", want)
+	heading := regexp.MustCompile("(?m)^### `([a-z]+)([0-9]*)`(?:–`[a-z]+([0-9]+)`)?")
+	documented := map[string]bool{}
+	for _, m := range heading.FindAllStringSubmatch(string(doc), -1) {
+		documented[m[1]+m[2]] = true
+		if m[3] != "" {
+			lo, _ := strconv.Atoi(m[2])
+			hi, _ := strconv.Atoi(m[3])
+			for i := lo + 1; i <= hi; i++ {
+				documented[m[1]+strconv.Itoa(i)] = true
+			}
 		}
 	}
-}
-
-func TestRunLocalityExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "locality", "-trials", "1", "-ops", "600", "-fill", "64", "-csv"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"## locality", "clustered", "vs best blind", "order,delay_us"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("locality output missing %q", want)
+	registered := map[string]bool{"all": true}
+	for _, e := range harness.Experiments() {
+		registered[e.Name] = true
+		if !documented[e.Name] {
+			t.Errorf("experiment %q has no catalog heading in docs/EXPERIMENTS.md", e.Name)
 		}
 	}
-}
-
-func TestRunHierExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "hier", "-trials", "1", "-ops", "600", "-fill", "64", "-csv"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"## hier", "cross-cluster probe fraction", "vs best flat",
-		"order,topology,delay_us,cross_probe_frac",
-		// Both topologies appear: the two-level cluster sweep and the
-		// three-level nested sweep, distinguishable by the CSV column.
-		",clusters-4,", ",nested-2-8,",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("hier output missing %q", want)
-		}
-	}
-}
-
-func TestRunKeyedLocExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "keyedloc", "-trials", "1", "-ops", "600", "-fill", "64", "-csv"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"## keyedloc", "Keyed locality sweep", "cross-frac", "order,delay_us,probes_per_get"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("keyedloc output missing %q", want)
-		}
-	}
-}
-
-func TestRunTenantsExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "tenants", "-trials", "1", "-ops", "1500", "-csv"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"## tenants", "worst-tenant p99 sojourn",
-		"tenants,skew,tenant,procs,lambda_per_proc,p50_us,p99_us,p999_us,steal_interference,ops",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("tenants output missing %q", want)
-		}
-	}
-}
-
-func TestRunTraceExperiment(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-exp", "trace", "-trials", "1", "-ops", "1200", "-fill", "96", "-csv"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"## trace", "Controller trajectories", "final steal fraction", "handle,role,sample",
-		// The flight-recorder half: density panels, activity table, raw log.
-		"Flight recorder", "events per bucket", "cross probes", "ts,handle,event,arg1,arg2",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("trace output missing %q", want)
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("docs/EXPERIMENTS.md catalogs %q, which is not a registered experiment", name)
 		}
 	}
 }

@@ -5,15 +5,26 @@ import (
 	"testing"
 	"time"
 
+	"pools/internal/policy"
 	"pools/internal/search"
 )
+
+// giftIf returns the policy set that enables directed adds (whole-batch
+// gifting to searching handles) when directed is true, and the default
+// local placement otherwise.
+func giftIf(directed bool) policy.Set {
+	if directed {
+		return policy.Set{Place: policy.GiftAll{}}
+	}
+	return policy.Set{}
+}
 
 func TestDirectedAddDeliversToSearcher(t *testing.T) {
 	for _, kind := range search.Kinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			p := newTestPool(t, Options{
-				Segments: 4, Search: kind, DirectedAdds: true, CollectStats: true,
+				Segments: 4, Search: kind, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true,
 			})
 			consumer := p.Handle(0)
 			producer := p.Handle(2)
@@ -59,7 +70,7 @@ func TestDirectedAddDeliversToSearcher(t *testing.T) {
 }
 
 func TestDirectedAddFallsBackToLocalSegment(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, DirectedAdds: true, CollectStats: true})
+	p := newTestPool(t, Options{Segments: 4, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true})
 	h := p.Handle(1)
 	// Nobody is hungry: Put must land locally.
 	h.Put(7)
@@ -72,7 +83,7 @@ func TestDirectedAddFallsBackToLocalSegment(t *testing.T) {
 }
 
 func TestDirectedAddLenAndDrainSeeMailboxes(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 2, DirectedAdds: true})
+	p := newTestPool(t, Options{Segments: 2, Policies: policy.Set{Place: policy.GiftAll{}}})
 	// Force a gift into handle 0's mailbox directly (simulating the race
 	// where a gift lands as the search ends).
 	p.boxes[0].hungry.Store(true)
@@ -96,7 +107,7 @@ func TestDirectedAddConservationUnderLoad(t *testing.T) {
 	const perProducer = 3000
 	const producers = 3
 	p := newTestPool(t, Options{
-		Segments: procs, Search: search.Linear, DirectedAdds: true, Seed: 5,
+		Segments: procs, Search: search.Linear, Policies: policy.Set{Place: policy.GiftAll{}}, Seed: 5,
 	})
 	for i := 0; i < procs; i++ {
 		p.Handle(i).Register()
@@ -148,7 +159,7 @@ func TestDirectedAddShortensSearches(t *testing.T) {
 	// extension actually engages under load.
 	run := func(directed bool) (receives, steals int64) {
 		p := newTestPool(t, Options{
-			Segments: 4, Search: search.Linear, DirectedAdds: directed, CollectStats: true, Seed: 2,
+			Segments: 4, Search: search.Linear, Policies: giftIf(directed), CollectStats: true, Seed: 2,
 		})
 		for i := 0; i < 4; i++ {
 			p.Handle(i).Register()

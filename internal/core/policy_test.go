@@ -158,27 +158,3 @@ func TestGiftsInFlightHoldsOffAbort(t *testing.T) {
 		t.Fatal("covered search failed to abort with no gift in flight")
 	}
 }
-
-// TestStealEnumAlias checks the deprecated Options.Steal enum still
-// selects the steal-one policy when Policies.Steal is nil.
-func TestStealEnumAlias(t *testing.T) {
-	p, err := New[int](Options{Segments: 2, Steal: StealOne, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.pol.Steal.Name(); got != "steal-one" {
-		t.Fatalf("resolved steal policy = %q, want steal-one", got)
-	}
-	// An explicit Policies.Steal wins over the enum.
-	p, err = New[int](Options{
-		Segments: 2,
-		Steal:    StealOne,
-		Policies: policy.Set{Steal: policy.Half{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.pol.Steal.Name(); got != "steal-half" {
-		t.Fatalf("resolved steal policy = %q, want steal-half", got)
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
 )
@@ -40,12 +41,6 @@ func TestDefaultSearchIsLinear(t *testing.T) {
 	p := newTestPool(t, Options{Segments: 4})
 	if k := p.handles[0].eng.Searcher().Kind(); k != search.Linear {
 		t.Fatalf("default search = %v, want linear", k)
-	}
-}
-
-func TestStealPolicyString(t *testing.T) {
-	if StealHalf.String() != "steal-half" || StealOne.String() != "steal-one" {
-		t.Fatal("StealPolicy names wrong")
 	}
 }
 
@@ -103,7 +98,7 @@ func TestGetStealsFromRemoteSegment(t *testing.T) {
 }
 
 func TestStealOnePolicy(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, Steal: StealOne, CollectStats: true})
+	p := newTestPool(t, Options{Segments: 4, Policies: policy.Set{Steal: policy.One{}}, CollectStats: true})
 	producer := p.Handle(1)
 	for i := 0; i < 10; i++ {
 		producer.Put(i)
@@ -545,7 +540,7 @@ func TestNoFalseEmptyAfterUnbumpedPut(t *testing.T) {
 // and PutAll take their gift branches instead; those must bump too.
 func TestAddsBumpVersionOnlyWhileSearching(t *testing.T) {
 	for _, directed := range []bool{false, true} {
-		p := newTestPool(t, Options{Segments: 2, SegmentCap: 8, DirectedAdds: directed})
+		p := newTestPool(t, Options{Segments: 2, SegmentCap: 8, Policies: giftIf(directed)})
 		searcher, adder := p.Handle(0), p.Handle(1)
 		searcher.Register()
 		adder.Register()

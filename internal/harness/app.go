@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pools/internal/plot"
 	"pools/internal/rng"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -226,22 +225,17 @@ func (s *simStackSource) Get() (*ttt.Node, bool) {
 
 // RenderApp formats the Section 4.4 table.
 func RenderApp(rows []AppRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		ok := "yes"
-		if !r.Correct {
-			ok = "NO"
-		}
-		cells = append(cells, []string{
-			r.Impl.String(),
-			fmt.Sprintf("%d", r.Procs),
-			fmt.Sprintf("%d", r.Makespan),
-			fmt.Sprintf("%.1f", r.Speedup),
-			fmt.Sprintf("%d", r.Positions),
-			ok,
-		})
-	}
-	return plot.Table([]string{
-		"work list", "procs", "makespan (virt µs)", "speedup", "positions", "correct",
-	}, cells)
+	return table(rows, []column[AppRow]{
+		{head: "work list", cell: func(r AppRow) string { return r.Impl.String() }},
+		count("procs", "", func(r AppRow) int64 { return int64(r.Procs) }),
+		count("makespan (virt µs)", "", func(r AppRow) int64 { return r.Makespan }),
+		{head: "speedup", cell: func(r AppRow) string { return fmt.Sprintf("%.1f", r.Speedup) }},
+		count("positions", "", func(r AppRow) int64 { return r.Positions }),
+		{head: "correct", cell: func(r AppRow) string {
+			if r.Correct {
+				return "yes"
+			}
+			return "NO"
+		}},
+	})
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pools/internal/plot"
 	"pools/internal/search"
 	"pools/internal/sim"
 	"pools/internal/workload"
@@ -21,23 +20,17 @@ import (
 // single-element producer/consumer model.
 func BurstBatchSweep() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
 
-// BurstRow is one batch-size measurement.
-type BurstRow struct {
-	Batch int
-	Point Point
-}
-
 // BurstSweep runs the burst workload at each batch size and averages the
-// usual measurements per data point. Producers are balanced around the
-// ring (the Section 4.2 lesson applied); per-element time is the headline:
-// it should fall as the batch grows, because one segment access — and one
-// queueing exposure at a contended segment — now covers the whole batch.
-func BurstSweep(cfg Config, kind search.Kind, producers int, batches []int) []BurstRow {
+// usual measurements per data point (Point.X is the batch size).
+// Producers are balanced around the ring (the Section 4.2 lesson
+// applied); per-element time is the headline: it should fall as the
+// batch grows, because one segment access — and one queueing exposure at
+// a contended segment — now covers the whole batch.
+func BurstSweep(cfg Config, kind search.Kind, producers int, batches []int) []Row {
 	c := cfg.withDefaults()
-	var out []BurstRow
+	var out []Row
 	for _, bs := range batches {
-		bs := bs
-		pt := c.average(float64(bs), func(seed uint64) sim.RunResult {
+		out = append(out, Row{Point: c.average(float64(bs), func(seed uint64) sim.RunResult {
 			w := c.workloadFor(workload.Burst)
 			w.Producers = producers
 			w.Arrangement = workload.Balanced
@@ -45,55 +38,16 @@ func BurstSweep(cfg Config, kind search.Kind, producers int, batches []int) []Bu
 			return sim.Run(sim.RunConfig{
 				Workload: w, Search: kind, Costs: c.Costs, Seed: seed,
 			})
-		})
-		out = append(out, BurstRow{Batch: bs, Point: pt})
+		})})
 	}
 	return out
 }
 
-// RenderBurst draws the burst sweep chart and table.
-func RenderBurst(kind search.Kind, rows []BurstRow) string {
-	s := plot.Series{Name: "per-element time"}
-	for _, r := range rows {
-		s.X = append(s.X, float64(r.Batch))
-		s.Y = append(s.Y, r.Point.PerElementTime)
-	}
-	chart := plot.LineChart(
-		fmt.Sprintf("Burst workload: per-element operation time vs batch size (%s search)", kind),
-		"batch size (elements per PutAll/GetN)", "per-element time (virt µs)",
-		70, 16,
-		[]plot.Series{s},
-	)
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.Batch),
-			fmtF(r.Point.PerElementTime),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.MakespanMean / 1000),
-		})
-	}
-	table := plot.Table([]string{
-		"batch", "µs/element", "µs/op", "stolen/steal", "steals/op", "makespan (ms)",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// BurstCSV emits the sweep as comma-separated values.
-func BurstCSV(rows []BurstRow) string {
-	header := []string{"batch", "per_element_us", "avg_op_us", "stolen_per_steal", "steals_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%d", r.Batch),
-			fmt.Sprintf("%.2f", r.Point.PerElementTime),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.ElementsStolen),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
+// renderBurst draws the burst sweep chart and table, and the CSV block.
+func renderBurst(kind search.Kind, rows []Row) (text, csv string) {
+	cols := []column[Row]{xCol("batch", "batch"), perElemCol, opUSCol, stolenCol, stealsCol, makespanCol}
+	series := seriesBy(rows, func(Row) string { return "per-element time" }, rowX,
+		func(r Row) float64 { return r.Point.PerElementTime })
+	return chart(fmt.Sprintf("Burst workload: per-element operation time vs batch size (%s search)", kind),
+		"batch size (elements per PutAll/GetN)", "per-element time (virt µs)", 16, series) + "\n" + table(rows, cols), csvTable(rows, cols)
 }

@@ -34,11 +34,10 @@ func TestChaosSweep(t *testing.T) {
 			t.Errorf("%s: recovered %d of %d kills", r.Schedule.Label, r.Recovered, r.Kills)
 		}
 	}
-	out := RenderChaos(search.Tree, rows)
+	out, csv := renderChaos(search.Tree, rows)
 	if !strings.Contains(out, "recovered ") {
 		t.Errorf("render missing the recovery footer:\n%s", out)
 	}
-	csv := ChaosCSV(rows)
 	if lines := strings.Count(strings.TrimSpace(csv), "\n"); lines != len(rows) {
 		t.Errorf("CSV body lines = %d, want %d:\n%s", lines, len(rows), csv)
 	}

@@ -3,18 +3,11 @@ package harness
 import (
 	"fmt"
 
-	"pools/internal/plot"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/sim"
 	"pools/internal/workload"
 )
-
-// AlgoRow is one line of the Section 4.3 algorithm comparison.
-type AlgoRow struct {
-	Kind     search.Kind
-	Scenario string
-	Point    Point
-}
 
 // AlgoCompare reproduces the Section 4.3 comparison: the three algorithms
 // under (a) the random operations model at a sparse mix, (b) the random
@@ -24,52 +17,27 @@ type AlgoRow struct {
 // Expected shape: the tree algorithm examines the fewest segments and
 // steals the most elements, but its operation times never beat linear or
 // random ("the complexity of the tree search algorithm does not pay off").
-func AlgoCompare(cfg Config) []AlgoRow {
+//
+// Rows carry the search kind as Series and the scenario as Case.
+func AlgoCompare(cfg Config) []Row {
 	c := cfg.withDefaults()
-	var rows []AlgoRow
+	var rows []Row
 	for _, kind := range search.Kinds() {
-		kind := kind
-		rows = append(rows, AlgoRow{
-			Kind: kind, Scenario: "random 30% adds (sparse)",
-			Point: c.average(30, func(seed uint64) sim.RunResult {
-				return c.runRandom(kind, 0.3, seed, false)
-			}),
-		})
-		rows = append(rows, AlgoRow{
-			Kind: kind, Scenario: "random 70% adds (sufficient)",
-			Point: c.average(70, func(seed uint64) sim.RunResult {
-				return c.runRandom(kind, 0.7, seed, false)
-			}),
-		})
-		rows = append(rows, AlgoRow{
-			Kind: kind, Scenario: "balanced prod/cons, 5 producers",
-			Point: c.average(5, func(seed uint64) sim.RunResult {
-				return c.runPC(kind, 5, workload.Balanced, seed, false)
-			}),
-		})
+		row := func(x float64, scenario string, run func(seed uint64) sim.RunResult) Row {
+			return Row{Series: kind.String(), Case: scenario, Point: c.average(x, run)}
+		}
+		rows = append(rows,
+			row(30, "random 30% adds (sparse)", func(seed uint64) sim.RunResult { return c.runRandom(kind, 0.3, seed) }),
+			row(70, "random 70% adds (sufficient)", func(seed uint64) sim.RunResult { return c.runRandom(kind, 0.7, seed) }),
+			row(5, "balanced prod/cons, 5 producers", func(seed uint64) sim.RunResult { return c.runPC(kind, 5, workload.Balanced, seed) }),
+		)
 	}
 	return rows
 }
 
-// RenderAlgoCompare formats the comparison table.
-func RenderAlgoCompare(rows []AlgoRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Kind.String(),
-			r.Scenario,
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.AvgAddTime / 1000),
-			fmtF(r.Point.AvgRemoveTime / 1000),
-			fmtF(r.Point.SegmentsExamined),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealFraction * 100),
-		})
-	}
-	return plot.Table([]string{
-		"search", "scenario", "op (ms)", "add (ms)", "remove (ms)",
-		"segs/steal", "stolen/steal", "%removes stealing",
-	}, cells)
+// algoCols is the algorithm comparison table.
+var algoCols = []column[Row]{
+	seriesCol("search", ""), caseCol("scenario"), opMSCol, addMSCol, removeMSCol, segsCol, stolenCol, stealingCol,
 }
 
 // DelayRow is one point of the Section 4.3 remote-delay sweep.
@@ -99,13 +67,12 @@ func DelaySweep(cfg Config) []DelayRow {
 		random := DelayRow{DelayUS: d, Scenario: "random 30% adds", Times: map[search.Kind]float64{}}
 		pc := DelayRow{DelayUS: d, Scenario: "balanced prod/cons 5", Times: map[search.Kind]float64{}}
 		for _, kind := range search.Kinds() {
-			kind := kind
 			rpt := cd.average(float64(d), func(seed uint64) sim.RunResult {
-				return cd.runRandom(kind, 0.3, seed, false)
+				return cd.runRandom(kind, 0.3, seed)
 			})
 			random.Times[kind] = rpt.AvgOpTime
 			ppt := cd.average(float64(d), func(seed uint64) sim.RunResult {
-				return cd.runPC(kind, 5, workload.Balanced, seed, false)
+				return cd.runPC(kind, 5, workload.Balanced, seed)
 			})
 			pc.Times[kind] = ppt.AvgOpTime
 		}
@@ -114,187 +81,105 @@ func DelaySweep(cfg Config) []DelayRow {
 	return out
 }
 
-// RenderDelaySweep formats the sweep with a convergence ratio column
+// delayTimeCol is one algorithm's operation time (ms) in the delay table.
+func delayTimeCol(kind search.Kind) column[DelayRow] {
+	return num(kind.String()+" (ms)", 1000, "", "", func(r DelayRow) float64 { return r.Times[kind] })
+}
+
+// delayCols is the delay sweep table, with a convergence ratio column
 // (tree time / best simple-algorithm time; -> 1.0 means converged).
-func RenderDelaySweep(rows []DelayRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		lin, ran, tree := r.Times[search.Linear], r.Times[search.Random], r.Times[search.Tree]
-		best := lin
-		if ran < best {
-			best = ran
-		}
+var delayCols = []column[DelayRow]{
+	{head: "delay (µs)", cell: func(r DelayRow) string { return fmt.Sprintf("%d", r.DelayUS) }},
+	{head: "scenario", cell: func(r DelayRow) string { return r.Scenario }},
+	delayTimeCol(search.Linear), delayTimeCol(search.Random), delayTimeCol(search.Tree),
+	{head: "tree/best", cell: func(r DelayRow) string {
 		ratio := 0.0
-		if best > 0 {
-			ratio = tree / best
+		if best := min(r.Times[search.Linear], r.Times[search.Random]); best > 0 {
+			ratio = r.Times[search.Tree] / best
 		}
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.DelayUS),
-			r.Scenario,
-			fmtF(lin / 1000),
-			fmtF(ran / 1000),
-			fmtF(tree / 1000),
-			fmt.Sprintf("%.3f", ratio),
-		})
-	}
-	return plot.Table([]string{
-		"delay (µs)", "scenario", "linear (ms)", "random (ms)", "tree (ms)", "tree/best",
-	}, cells)
+		return fmt.Sprintf("%.3f", ratio)
+	}},
 }
 
-// StealPolicyRow compares steal-half with steal-one (the ablation backing
-// the paper's design rationale: stealing half balances reserves and
-// reduces steal frequency).
-type StealPolicyRow struct {
-	Kind     search.Kind
-	StealOne bool
-	Point    Point
-}
-
-// StealPolicyAblation runs the balanced producer/consumer workload (5
-// producers) under both policies. That scenario steals multi-element
-// hauls, so the policies separate cleanly; at sparse random mixes most
-// victims hold a single element and the two policies coincide.
-func StealPolicyAblation(cfg Config) []StealPolicyRow {
+// StealPolicyAblation compares steal-half with steal-one (the ablation
+// backing the paper's design rationale: stealing half balances reserves
+// and reduces steal frequency) on the balanced producer/consumer workload
+// (5 producers). That scenario steals multi-element hauls, so the
+// policies separate cleanly; at sparse random mixes most victims hold a
+// single element and the two policies coincide. Rows carry the search
+// kind as Series and the steal policy's name as Case.
+func StealPolicyAblation(cfg Config) []Row {
 	c := cfg.withDefaults()
-	var out []StealPolicyRow
+	w := c.workloadFor(workload.ProducerConsumer)
+	w.Producers = 5
+	w.Arrangement = workload.Balanced
+	var out []Row
 	for _, kind := range search.Kinds() {
-		for _, one := range []bool{false, true} {
-			kind, one := kind, one
-			out = append(out, StealPolicyRow{
-				Kind: kind, StealOne: one,
-				Point: c.average(0, func(seed uint64) sim.RunResult {
-					return c.runPC(kind, 5, workload.Balanced, seed, one)
-				}),
-			})
+		for _, steal := range []policy.StealAmount{policy.Half{}, policy.One{}} {
+			out = append(out, Row{Series: kind.String(), Case: steal.Name(), Point: c.average(0, func(seed uint64) sim.RunResult {
+				return sim.Run(sim.RunConfig{Workload: w, Search: kind, Costs: c.Costs, Seed: seed, Policies: policy.Set{Steal: steal}})
+			})})
 		}
 	}
 	return out
 }
 
-// RenderStealPolicy formats the ablation table.
-func RenderStealPolicy(rows []StealPolicyRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		policy := "steal-half"
-		if r.StealOne {
-			policy = "steal-one"
-		}
-		cells = append(cells, []string{
-			r.Kind.String(), policy,
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.SegmentsExamined),
-		})
-	}
-	return plot.Table([]string{
-		"search", "policy", "op (ms)", "steals/op", "stolen/steal", "segs/steal",
-	}, cells)
-}
+// stealCols is the steal-policy ablation table.
+var stealCols = []column[Row]{seriesCol("search", ""), caseCol("policy"), opMSCol, stealsCol, stolenCol, segsCol}
 
-// ArrangementRow compares contiguous vs balanced producer placement for
-// one algorithm (the Section 4.2 headline: "Balancing the producers
+// ArrangementCompare compares contiguous vs balanced producer placement
+// for one algorithm (the Section 4.2 headline: "Balancing the producers
 // consistently lowered the average time for add operations, remove
-// operations, and steals").
-type ArrangementRow struct {
-	Kind        search.Kind
-	Arrangement workload.Arrangement
-	Point       Point
-}
-
-// ArrangementCompare runs the producer/consumer workload with k producers
-// under both arrangements.
-func ArrangementCompare(cfg Config, kind search.Kind, producers int) []ArrangementRow {
+// operations, and steals"), running the producer/consumer workload with
+// k producers under both arrangements. Rows carry the search kind as
+// Series and the arrangement as Case.
+func ArrangementCompare(cfg Config, kind search.Kind, producers int) []Row {
 	c := cfg.withDefaults()
-	var out []ArrangementRow
+	var out []Row
 	for _, arr := range []workload.Arrangement{workload.Contiguous, workload.Balanced} {
-		arr := arr
-		out = append(out, ArrangementRow{
-			Kind: kind, Arrangement: arr,
-			Point: c.average(float64(producers), func(seed uint64) sim.RunResult {
-				return c.runPC(kind, producers, arr, seed, false)
-			}),
-		})
+		out = append(out, Row{Series: kind.String(), Case: arr.String(), Point: c.average(float64(producers), func(seed uint64) sim.RunResult {
+			return c.runPC(kind, producers, arr, seed)
+		})})
 	}
 	return out
 }
 
-// RenderArrangement formats the arrangement comparison.
-func RenderArrangement(rows []ArrangementRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Kind.String(),
-			r.Arrangement.String(),
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.AvgAddTime / 1000),
-			fmtF(r.Point.AvgRemoveTime / 1000),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.SegmentsExamined),
-		})
-	}
-	return plot.Table([]string{
-		"search", "producers", "op (ms)", "add (ms)", "remove (ms)",
-		"stolen/steal", "steals/op", "segs/steal",
-	}, cells)
+// arrangeCols is the arrangement comparison table.
+var arrangeCols = []column[Row]{
+	seriesCol("search", ""), caseCol("producers"), opMSCol, addMSCol, removeMSCol, stolenCol, stealsCol, segsCol,
 }
 
-// DynamicRolesRow compares fixed producer roles with rotating ones (the
+// DynamicRoles compares fixed producer roles with rotating ones (the
 // paper's Section 3.3 note that "in many real systems, the identity of
-// the processes acting as producers may change dynamically over time").
-type DynamicRolesRow struct {
-	Kind      search.Kind
-	FlipEvery int // 0 = fixed roles
-	Point     Point
-}
-
-// DynamicRoles runs the contiguous producer/consumer workload with fixed
-// roles and with roles rotating one position at several cadences.
-// Rotation spreads production around the ring over time, so it should
-// recover some of the balanced arrangement's benefit without any static
-// placement decision.
-func DynamicRoles(cfg Config) []DynamicRolesRow {
+// the processes acting as producers may change dynamically over time"),
+// running the contiguous producer/consumer workload with fixed roles and
+// with roles rotating one position at several cadences. Rotation spreads
+// production around the ring over time, so it should recover some of the
+// balanced arrangement's benefit without any static placement decision.
+// Rows carry the search kind as Series, the role schedule as Case, and
+// the rotation cadence (0 = fixed roles) as Point.X.
+func DynamicRoles(cfg Config) []Row {
 	c := cfg.withDefaults()
-	var out []DynamicRolesRow
+	var out []Row
 	for _, kind := range []search.Kind{search.Linear, search.Tree} {
 		for _, flip := range []int{0, 50, 10} {
-			kind, flip := kind, flip
-			out = append(out, DynamicRolesRow{
-				Kind: kind, FlipEvery: flip,
-				Point: c.average(float64(flip), func(seed uint64) sim.RunResult {
-					w := c.workloadFor(workload.ProducerConsumer)
-					w.Producers = 5
-					w.Arrangement = workload.Contiguous
-					w.RoleFlipEvery = flip
-					return sim.Run(sim.RunConfig{
-						Workload: w, Search: kind, Costs: c.Costs, Seed: seed,
-					})
-				}),
-			})
+			roles := "fixed"
+			if flip > 0 {
+				roles = fmt.Sprintf("rotate/%d ops", flip)
+			}
+			out = append(out, Row{Series: kind.String(), Case: roles, Point: c.average(float64(flip), func(seed uint64) sim.RunResult {
+				w := c.workloadFor(workload.ProducerConsumer)
+				w.Producers = 5
+				w.Arrangement = workload.Contiguous
+				w.RoleFlipEvery = flip
+				return sim.Run(sim.RunConfig{
+					Workload: w, Search: kind, Costs: c.Costs, Seed: seed,
+				})
+			})})
 		}
 	}
 	return out
 }
 
-// RenderDynamicRoles formats the dynamic-roles table.
-func RenderDynamicRoles(rows []DynamicRolesRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		roles := "fixed"
-		if r.FlipEvery > 0 {
-			roles = fmt.Sprintf("rotate/%d ops", r.FlipEvery)
-		}
-		cells = append(cells, []string{
-			r.Kind.String(), roles,
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-		})
-	}
-	return plot.Table([]string{
-		"search", "roles", "op (ms)", "stolen/steal", "steals/op", "aborts/op",
-	}, cells)
-}
+// rolesCols is the dynamic-roles table.
+var rolesCols = []column[Row]{seriesCol("search", ""), caseCol("roles"), opMSCol, stolenCol, stealsCol, abortsCol}

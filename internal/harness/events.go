@@ -5,10 +5,7 @@ import (
 	"fmt"
 
 	"pools/internal/metrics"
-	"pools/internal/numa"
 	"pools/internal/plot"
-	"pools/internal/policy"
-	"pools/internal/rng"
 	"pools/internal/search"
 	"pools/internal/sim"
 	"pools/internal/trace"
@@ -57,51 +54,22 @@ type EventTraceResult struct {
 // to make visible.
 func EventTraceRun(cfg Config, kind search.Kind, producers, batch int) EventTraceResult {
 	c := cfg.withDefaults()
-	set, err := policy.Named("per-handle")
-	if err != nil {
-		panic(err) // programmer error: the name is a registry constant
-	}
-	w := c.workloadFor(workload.Burst)
-	w.Producers = producers
-	w.Arrangement = workload.Contiguous
-	w.BatchSize = batch
-	res := sim.Run(sim.RunConfig{
-		Workload: w, Search: kind,
-		Costs: c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize}),
-		Seed:  rng.SubSeed(c.Seed, 0), Policies: set,
-		EventBuf: EventTraceBuf,
-	})
-
+	res := c.burstTrace(kind, producers, batch, sim.RunConfig{EventBuf: EventTraceBuf})
 	out := EventTraceResult{
 		Kind:      kind,
 		Batch:     batch,
-		Producers: map[int]bool{},
+		Producers: producerSet(c.Procs, producers, workload.Contiguous),
 		Timelines: res.Events,
 		Stats:     res.Stats,
 		Makespan:  res.Makespan,
 	}
-	for _, p := range workload.ProducerPositions(c.Procs, producers, workload.Contiguous) {
-		out.Producers[p] = true
-	}
-
-	const buckets = 100
-	end := res.Makespan
-	if end < 1 {
-		end = 1
-	}
+	end := max(res.Makespan, 1)
 	for _, tl := range res.Events {
 		out.Dropped += tl.Dropped
-		density := make([]int64, buckets)
+		density := make([]int64, traceBuckets)
 		var transfers, crosses int64
 		for _, ev := range tl.Events {
-			b := int(ev.TS * buckets / end)
-			if b < 0 {
-				b = 0
-			}
-			if b >= buckets {
-				b = buckets - 1
-			}
-			density[b]++
+			density[min(max(int(ev.TS*traceBuckets/end), 0), traceBuckets-1)]++
 			switch ev.Kind {
 			case trace.ReserveTransfer:
 				transfers++
@@ -116,22 +84,20 @@ func EventTraceRun(cfg Config, kind search.Kind, producers, batch int) EventTrac
 	return out
 }
 
-// RenderEventTrace draws the event-density panels — one row per handle
-// over virtual time — and a per-handle activity table, footed by the
-// run's one-line stats summary.
-func RenderEventTrace(r EventTraceResult) string {
+// render draws the event-density panels — one row per handle over
+// virtual time — and a per-handle activity table, footed by the run's
+// one-line stats summary; the CSV block holds the raw recorded events in
+// long form (one row per event, merged across handles by virtual time)
+// via trace.WriteCSV.
+func (r EventTraceResult) render() (text, csv string) {
 	title := fmt.Sprintf("Flight recorder: events per handle over time (%s search, burst batch %d, %d-proc clusters)",
 		r.Kind, r.Batch, LocalityClusterSize)
 	body := plot.TracePanels(title, "handle", "events per bucket", r.Density, r.Producers, "P", "C")
 	var cells [][]string
 	for h, tl := range r.Timelines {
-		role := "consumer"
-		if r.Producers[h] {
-			role = "producer"
-		}
 		cells = append(cells, []string{
 			fmt.Sprintf("%d", h),
-			role,
+			handleRole(r.Producers, h),
 			fmt.Sprintf("%d", len(tl.Events)),
 			fmt.Sprintf("%d", r.Transfers[h]),
 			fmt.Sprintf("%d", r.Crosses[h]),
@@ -139,15 +105,9 @@ func RenderEventTrace(r EventTraceResult) string {
 		})
 	}
 	table := plot.Table([]string{"handle", "role", "events", "transfers", "cross probes", "dropped"}, cells)
-	return body + "\n" + table + "\n" + r.Stats.Summary() + "\n"
-}
-
-// EventTraceCSV emits the raw recorded events in long form (one row per
-// event, merged across handles by virtual time) via trace.WriteCSV.
-func EventTraceCSV(r EventTraceResult) string {
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, r.Timelines); err != nil {
 		panic(err) // bytes.Buffer writes cannot fail
 	}
-	return buf.String()
+	return body + "\n" + table + "\n" + r.Stats.Summary() + "\n", buf.String()
 }

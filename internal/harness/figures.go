@@ -26,14 +26,13 @@ func Fig2(cfg Config) Fig2Result {
 	var out Fig2Result
 	for _, mix := range workload.MixSweep() {
 		pt := c.average(mix*100, func(seed uint64) sim.RunResult {
-			return c.runRandom(search.Tree, mix, seed, false)
+			return c.runRandom(search.Tree, mix, seed)
 		})
 		out.Random = append(out.Random, pt)
 	}
 	for _, k := range workload.ProducerSweep(c.Procs) {
-		k := k
 		pt := c.average(0, func(seed uint64) sim.RunResult {
-			return c.runPC(search.Tree, k, workload.Contiguous, seed, false)
+			return c.runPC(search.Tree, k, workload.Contiguous, seed)
 		})
 		// The paper plots the producer/consumer data at the measured mix:
 		// "the job mix was measured and the data was plotted on that
@@ -44,32 +43,27 @@ func Fig2(cfg Config) Fig2Result {
 	return out
 }
 
-// Render draws the Figure 2 chart (times in ms, as in the paper).
-func (r Fig2Result) Render() string {
-	toSeries := func(name string, pts []Point) plot.Series {
-		s := plot.Series{Name: name}
-		for _, p := range pts {
-			s.X = append(s.X, p.X)
-			s.Y = append(s.Y, p.AvgOpTime/1000) // µs -> ms
-		}
-		return s
-	}
-	chart := plot.LineChart(
-		"Figure 2: average operation time for the tree traversal algorithm",
-		"percent of operations that were adds", "avg op time (ms)",
-		70, 16,
-		[]plot.Series{toSeries("random", r.Random), toSeries("producer/consumer", r.PC)},
-	)
-	var rows [][]string
+// render draws the Figure 2 chart (times in ms, as in the paper) and
+// table, and the CSV block of the same points.
+func (r Fig2Result) render() (text, csv string) {
+	var rows []Row
 	for _, p := range r.Random {
-		rows = append(rows, []string{"random", fmtF(p.X), fmtF(p.AvgOpTime / 1000), fmtF(p.StealFraction * 100), fmtF(p.SegmentsExamined)})
+		rows = append(rows, Row{Series: "random", Case: "random", Point: p})
 	}
 	for _, p := range r.PC {
-		rows = append(rows, []string{"prod/cons", fmtF(p.X), fmtF(p.AvgOpTime / 1000), fmtF(p.StealFraction * 100), fmtF(p.SegmentsExamined)})
+		rows = append(rows, Row{Series: "producer/consumer", Case: "prod/cons", Point: p})
 	}
-	table := plot.Table(
-		[]string{"model", "%adds", "avg op (ms)", "%removes stealing", "segs/steal"}, rows)
-	return chart + "\n" + table
+	cols := []column[Row]{
+		{head: "model", cell: rowCase, csv: "model", csvCell: func(r Row) string { return strings.ReplaceAll(r.Series, "/", "-") }},
+		num("%adds", 1, "pct_adds", "%.1f", rowX),
+		num("avg op (ms)", 1000, "avg_op_us", "%.1f", func(r Row) float64 { return r.Point.AvgOpTime }),
+		stealingCol,
+		num("segs/steal", 1, "segments_per_steal", "%.2f", func(r Row) float64 { return r.Point.SegmentsExamined }),
+		stolenCol.csvOnly(),
+	}
+	series := seriesBy(rows, rowSeries, rowX, func(r Row) float64 { return r.Point.AvgOpTime / 1000 })
+	return chart("Figure 2: average operation time for the tree traversal algorithm",
+		"percent of operations that were adds", "avg op time (ms)", 16, series) + "\n" + table(rows, cols), csvTable(rows, cols)
 }
 
 // TraceResult holds one Figures 3-6 style panel: per-segment sizes over
@@ -101,32 +95,47 @@ func FigTrace(cfg Config, figure string, kind search.Kind, arr workload.Arrangem
 		Seed: rng.SubSeed(c.Seed, 0), Trace: true,
 	})
 
-	const buckets = 100
-	end := int64(1)
+	var end int64
 	for i := range res.Traces {
-		if t := res.Traces[i].MaxTime(); t > end {
-			end = t
-		}
+		end = max(end, res.Traces[i].MaxTime())
 	}
-	times := make([]int64, buckets)
-	for i := range times {
-		times[i] = end * int64(i+1) / buckets
-	}
+	times := bucketTimes(end)
 	out := TraceResult{
 		Figure:      figure,
 		Kind:        kind,
 		Arrangement: arr,
-		Producers:   map[int]bool{},
+		Producers:   producerSet(c.Procs, producers, arr),
 		Waited:      res.SegmentWaited,
 		Stats:       res.Stats,
-	}
-	for _, p := range workload.ProducerPositions(c.Procs, producers, arr) {
-		out.Producers[p] = true
 	}
 	for i := range res.Traces {
 		out.Sampled = append(out.Sampled, res.Traces[i].SampleAt(times))
 	}
 	return out
+}
+
+// traceBuckets is the number of uniform virtual-time buckets the trace
+// experiments resample their per-segment and per-handle series into.
+const traceBuckets = 100
+
+// bucketTimes returns the right edges of traceBuckets uniform buckets
+// over (0, end], with end floored at 1.
+func bucketTimes(end int64) []int64 {
+	end = max(end, 1)
+	times := make([]int64, traceBuckets)
+	for i := range times {
+		times[i] = end * int64(i+1) / traceBuckets
+	}
+	return times
+}
+
+// producerSet marks the producer segments of a producer/consumer layout.
+func producerSet(procs, producers int, arr workload.Arrangement) map[int]bool {
+	set := map[int]bool{}
+	for _, p := range workload.ProducerPositions(procs, producers, arr) {
+		set[p] = true
+	}
+	return set
 }
 
 // Render draws the trace panel.
@@ -180,82 +189,34 @@ func Fig7(cfg Config) Fig7Result {
 	c := cfg.withDefaults()
 	var out Fig7Result
 	for _, k := range workload.ProducerSweep(c.Procs) {
-		k := k
 		out.Unbalanced = append(out.Unbalanced, c.average(float64(k), func(seed uint64) sim.RunResult {
-			return c.runPC(search.Tree, k, workload.Contiguous, seed, false)
+			return c.runPC(search.Tree, k, workload.Contiguous, seed)
 		}))
 		out.Balanced = append(out.Balanced, c.average(float64(k), func(seed uint64) sim.RunResult {
-			return c.runPC(search.Tree, k, workload.Balanced, seed, false)
+			return c.runPC(search.Tree, k, workload.Balanced, seed)
 		}))
 	}
 	return out
 }
 
-// Render draws the Figure 7 chart and table.
-func (r Fig7Result) Render() string {
-	toSeries := func(name string, pts []Point) plot.Series {
-		s := plot.Series{Name: name}
-		for _, p := range pts {
-			s.X = append(s.X, p.X)
-			s.Y = append(s.Y, p.ElementsStolen)
-		}
-		return s
+// render draws the Figure 7 chart and table, and the CSV block of the
+// same points. Each table row pairs the unbalanced and balanced points at
+// one producer count.
+func (r Fig7Result) render() (text, csv string) {
+	var rows []Row
+	pairs := make([][2]Point, len(r.Unbalanced))
+	for i := range pairs {
+		pairs[i] = [2]Point{r.Unbalanced[i], r.Balanced[i]}
+		rows = append(rows, Row{Series: "unbalanced", Point: r.Unbalanced[i]}, Row{Series: "balanced", Point: r.Balanced[i]})
 	}
-	chart := plot.LineChart(
-		"Figure 7: average number of elements stolen per steal (tree search)",
-		"number of producers", "elements stolen per steal",
-		70, 16,
-		[]plot.Series{toSeries("unbalanced", r.Unbalanced), toSeries("balanced", r.Balanced)},
-	)
-	var rows [][]string
-	for i := range r.Unbalanced {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", int(r.Unbalanced[i].X)),
-			fmtF(r.Unbalanced[i].ElementsStolen),
-			fmtF(r.Balanced[i].ElementsStolen),
-			fmtF(r.Unbalanced[i].StealsPerOp),
-			fmtF(r.Balanced[i].StealsPerOp),
-		})
+	cols := []column[[2]Point]{
+		{head: "producers", cell: func(p [2]Point) string { return fmt.Sprintf("%d", int(p[0].X)) }, csv: "producers"},
+		num("stolen/steal (unbal)", 1, "stolen_per_steal_unbalanced", "%.2f", func(p [2]Point) float64 { return p[0].ElementsStolen }),
+		num("stolen/steal (bal)", 1, "stolen_per_steal_balanced", "%.2f", func(p [2]Point) float64 { return p[1].ElementsStolen }),
+		num("steals/op (unbal)", 1, "steals_per_op_unbalanced", "%.4f", func(p [2]Point) float64 { return p[0].StealsPerOp }),
+		num("steals/op (bal)", 1, "steals_per_op_balanced", "%.4f", func(p [2]Point) float64 { return p[1].StealsPerOp }),
 	}
-	table := plot.Table(
-		[]string{"producers", "stolen/steal (unbal)", "stolen/steal (bal)", "steals/op (unbal)", "steals/op (bal)"}, rows)
-	return chart + "\n" + table
-}
-
-// CSV emits the Figure 2 data points as comma-separated values for
-// external plotting.
-func (r Fig2Result) CSV() string {
-	header := []string{"model", "pct_adds", "avg_op_us", "steal_fraction", "segments_per_steal", "stolen_per_steal"}
-	var rows [][]string
-	emit := func(model string, pts []Point) {
-		for _, p := range pts {
-			rows = append(rows, []string{
-				model,
-				fmt.Sprintf("%.1f", p.X),
-				fmt.Sprintf("%.1f", p.AvgOpTime),
-				fmt.Sprintf("%.4f", p.StealFraction),
-				fmt.Sprintf("%.2f", p.SegmentsExamined),
-				fmt.Sprintf("%.2f", p.ElementsStolen),
-			})
-		}
-	}
-	emit("random", r.Random)
-	emit("producer-consumer", r.PC)
-	return plot.CSV(header, rows)
-}
-
-// CSV emits the Figure 7 data points as comma-separated values.
-func (r Fig7Result) CSV() string {
-	header := []string{"producers", "stolen_per_steal_unbalanced", "stolen_per_steal_balanced", "steals_per_op_unbalanced", "steals_per_op_balanced"}
-	var rows [][]string
-	for i := range r.Unbalanced {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", int(r.Unbalanced[i].X)),
-			fmt.Sprintf("%.2f", r.Unbalanced[i].ElementsStolen),
-			fmt.Sprintf("%.2f", r.Balanced[i].ElementsStolen),
-			fmt.Sprintf("%.4f", r.Unbalanced[i].StealsPerOp),
-			fmt.Sprintf("%.4f", r.Balanced[i].StealsPerOp),
-		})
-	}
-	return plot.CSV(header, rows)
+	series := seriesBy(rows, rowSeries, rowX, func(r Row) float64 { return r.Point.ElementsStolen })
+	return chart("Figure 7: average number of elements stolen per steal (tree search)",
+		"number of producers", "elements stolen per steal", 16, series) + "\n" + table(pairs, cols), csvTable(pairs, cols)
 }

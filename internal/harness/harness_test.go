@@ -41,7 +41,7 @@ func TestFig2Shape(t *testing.T) {
 			t.Errorf("PC point at mix %.0f%% had no steals", p.X)
 		}
 	}
-	out := r.Render()
+	out, _ := r.render()
 	for _, want := range []string{"Figure 2", "random", "producer/consumer", "%adds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -117,7 +117,7 @@ func TestFig7BalancedStealsMore(t *testing.T) {
 	if balSum <= unbalSum {
 		t.Errorf("balanced stole %.1f total, unbalanced %.1f — errata shape violated", balSum, unbalSum)
 	}
-	if !strings.Contains(r.Render(), "Figure 7") {
+	if out, _ := r.render(); !strings.Contains(out, "Figure 7") {
 		t.Error("render missing title")
 	}
 }
@@ -129,7 +129,7 @@ func TestAlgoCompareTreeNeverFasterButExaminesFewer(t *testing.T) {
 	}
 	byKS := map[string]Point{}
 	for _, r := range rows {
-		byKS[r.Kind.String()+"/"+r.Scenario] = r.Point
+		byKS[r.Series+"/"+r.Case] = r.Point
 	}
 	// In the sparse random scenario, the tree should examine fewer
 	// segments per steal than linear or random...
@@ -158,7 +158,7 @@ func TestAlgoCompareTreeNeverFasterButExaminesFewer(t *testing.T) {
 		t.Errorf("tree P/C op time %.0f decisively beats simple algorithms (%.0f) — unexpected",
 			treePC.AvgOpTime, bestPC)
 	}
-	out := RenderAlgoCompare(rows)
+	out := table(rows, algoCols)
 	if !strings.Contains(out, "tree") || !strings.Contains(out, "segs/steal") {
 		t.Error("render incomplete")
 	}
@@ -198,7 +198,7 @@ func TestDelaySweepConvergence(t *testing.T) {
 	if lastRandom.Times[search.Linear] <= firstRandom.Times[search.Linear] {
 		t.Error("delay did not increase linear op times")
 	}
-	if !strings.Contains(RenderDelaySweep(rows), "tree/best") {
+	if !strings.Contains(table(rows, delayCols), "tree/best") {
 		t.Error("render incomplete")
 	}
 }
@@ -222,10 +222,10 @@ func TestStealPolicyAblation(t *testing.T) {
 	for _, kind := range search.Kinds() {
 		var half, one Point
 		for _, r := range rows {
-			if r.Kind != kind {
+			if r.Series != kind.String() {
 				continue
 			}
-			if r.StealOne {
+			if r.Case == "steal-one" {
 				one = r.Point
 			} else {
 				half = r.Point
@@ -238,7 +238,7 @@ func TestStealPolicyAblation(t *testing.T) {
 			t.Errorf("%v: steal-one frequency %.3f <= steal-half %.3f", kind, one.StealsPerOp, half.StealsPerOp)
 		}
 	}
-	if !strings.Contains(RenderStealPolicy(rows), "steal-one") {
+	if !strings.Contains(table(rows, stealCols), "steal-one") {
 		t.Error("render incomplete")
 	}
 }
@@ -306,15 +306,15 @@ func TestDynamicRolesChurnCosts(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, kind := range []search.Kind{search.Linear, search.Tree} {
-		var fixed, rotating *DynamicRolesRow
+		var fixed, rotating *Row
 		for i := range rows {
 			r := &rows[i]
-			if r.Kind != kind {
+			if r.Series != kind.String() {
 				continue
 			}
-			if r.FlipEvery == 0 {
+			if r.Point.X == 0 {
 				fixed = r
-			} else if r.FlipEvery == 10 {
+			} else if r.Point.X == 10 {
 				rotating = r
 			}
 		}
@@ -326,7 +326,7 @@ func TestDynamicRolesChurnCosts(t *testing.T) {
 				rotating.Point.AbortsPerOp, fixed.Point.AbortsPerOp)
 		}
 	}
-	if !strings.Contains(RenderDynamicRoles(rows), "rotate/10 ops") {
+	if !strings.Contains(table(rows, rolesCols), "rotate/10 ops") {
 		t.Error("render incomplete")
 	}
 }

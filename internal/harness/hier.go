@@ -4,11 +4,6 @@ import (
 	"fmt"
 
 	"pools/internal/numa"
-	"pools/internal/plot"
-	"pools/internal/policy"
-	"pools/internal/search"
-	"pools/internal/sim"
-	"pools/internal/workload"
 )
 
 // This file measures the hierarchical-steal extension. The locality sweep
@@ -36,53 +31,17 @@ func HierOrderNames() []string {
 	return []string{"linear", "random", "locality", "hier", "hier-adaptive", "hier-place"}
 }
 
-// hierSet builds a fresh policy set for one hierarchical-sweep
-// configuration under the given cost model and topology.
-func hierSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
-	switch name {
-	case "linear":
-		return policy.Set{Order: policy.Order{Kind: search.Linear}}
-	case "random":
-		return policy.Set{Order: policy.Order{Kind: search.Random}}
-	case "locality":
-		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
-	case "hier":
-		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}
-	case "hier-adaptive":
-		// Fresh per trial: each handle's spawned controller is both its
-		// steal amount and its escalation tuner (policy.Escalator).
-		p := policy.NewPerHandle()
-		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Steal: p, Control: p}
-	case "hier-place":
-		return policy.Set{
-			Order: policy.HierarchicalOrder{Topo: topo},
-			Place: policy.GiftToNearestEmptiest{Model: costs},
-		}
-	default:
-		panic(fmt.Sprintf("harness: unknown hierarchical configuration %q", name))
-	}
-}
-
-// HierRow is one (configuration, delay scale) measurement. Topo names
-// the hop topology the sweep ran on, so the two-level and three-level
-// sweeps' CSV rows stay distinguishable when concatenated.
-type HierRow struct {
-	Order   string
-	Topo    string
-	DelayUS int64
-	Point   Point
-}
-
 // HierSweep runs the sparse random-operations workload on the clustered
-// machine at each added remote delay under each configuration. Expected
-// shape: the hierarchical orders hold a structurally lower cross-cluster
+// machine at each added remote delay under each configuration (see
+// orderSweep; the topology name in Case keeps the two-level and
+// three-level sweeps' CSV rows distinguishable). Expected shape: the hierarchical orders hold a structurally lower cross-cluster
 // probe fraction than the flat orders at every delay (they re-probe the
 // near ring before crossing), and as the delay scale grows that
 // discipline compounds — each avoided crossing is worth Far hops of
 // RemoteExtra — so their operation-time curves pull below the flat
 // orders' alongside (and then past) the merely-ranked locality order.
-func HierSweep(cfg Config, scales []int64) []HierRow {
-	return hierSweepOn(cfg, scales, numa.Clusters{Size: LocalityClusterSize})
+func HierSweep(cfg Config, scales []int64) []Row {
+	return orderSweep(cfg, scales, numa.Clusters{Size: LocalityClusterSize}, HierOrderNames())
 }
 
 // DeepTopology is the three-level machine the deep hierarchical sweep
@@ -100,138 +59,30 @@ func DeepTopology() numa.Topology { return numa.NestedClusters{Inner: 2, Outer: 
 // hierarchical orders start from a higher flat baseline here (any
 // off-board probe is "cross") and the discipline of climbing board →
 // cabinet → machine shows up as a larger relative reduction.
-func HierDeepSweep(cfg Config, scales []int64) []HierRow {
-	return hierSweepOn(cfg, scales, DeepTopology())
+func HierDeepSweep(cfg Config, scales []int64) []Row {
+	return orderSweep(cfg, scales, DeepTopology(), HierOrderNames())
 }
 
-// hierSweepOn runs the hierarchical sweep on one hop topology.
-func hierSweepOn(cfg Config, scales []int64, topo numa.Topology) []HierRow {
-	c := cfg.withDefaults()
-	base := c.Costs.WithTopology(topo)
-	var out []HierRow
-	for _, name := range HierOrderNames() {
-		for _, d := range scales {
-			name, d := name, d
-			costs := base.WithExtraDelay(d)
-			cd := c
-			cd.Costs = costs
-			pt := cd.average(float64(d), func(seed uint64) sim.RunResult {
-				w := cd.workloadFor(workload.RandomOps)
-				w.AddFraction = LocalityMix
-				return sim.Run(sim.RunConfig{
-					Workload: w, Search: search.Linear, Costs: costs,
-					Seed: seed, Policies: hierSet(name, costs, topo),
-				})
-			})
-			out = append(out, HierRow{Order: name, Topo: topo.Name(), DelayUS: d, Point: pt})
-		}
+// renderHier draws one hierarchical sweep, labelling the charts with the
+// topology description: the cross-cluster probe fraction per
+// configuration across the delay scales (the discipline the policy exists
+// to enforce), the average-operation-time chart, and the measurement
+// table with a hier/best-flat time ratio column (< 1.0 means
+// cluster-first escalation beat every flat order at that delay). The CSV
+// block carries the topology column.
+func renderHier(rows []Row, label string) (text, csv string) {
+	cols := []column[Row]{
+		seriesCol("order", "order"), {csv: "topology", cell: rowCase}, xCol("delay (µs)", "delay_us"),
+		fixed("cross-frac", "%.3f", "cross_probe_frac", "%.4f", func(r Row) float64 { return r.Point.CrossProbeFrac }),
+		opUSCol, segsCol, stealsCol, abortsCol,
+		ratioCol("vs best flat", rows, "hier", "linear", "random"), makespanCol.csvOnly(),
 	}
-	return out
-}
-
-// RenderHier draws the hierarchical sweep: the cross-cluster probe
-// fraction per configuration across the delay scales (the discipline the
-// policy exists to enforce), the average-operation-time chart, and the
-// measurement table with a hier/best-flat time ratio column (< 1.0 means
-// cluster-first escalation beat every flat order at that delay).
-func RenderHier(rows []HierRow) string {
-	return renderHier(rows, fmt.Sprintf("%d-proc clusters", LocalityClusterSize))
-}
-
-// RenderHierDeep draws the deep sweep (HierDeepSweep) with the
-// three-level topology named in the chart titles.
-func RenderHierDeep(rows []HierRow) string {
-	return renderHier(rows, DeepTopology().Name()+" three-level topology")
-}
-
-// renderHier renders one hierarchical sweep, labelling the charts with
-// the topology description.
-func renderHier(rows []HierRow, label string) string {
-	frac := map[string]*plot.Series{}
-	times := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		f := frac[r.Order]
-		if f == nil {
-			f = &plot.Series{Name: r.Order}
-			frac[r.Order] = f
-			times[r.Order] = &plot.Series{Name: r.Order}
-			order = append(order, r.Order)
-		}
-		f.X = append(f.X, float64(r.DelayUS))
-		f.Y = append(f.Y, r.Point.CrossProbeFrac)
-		times[r.Order].X = append(times[r.Order].X, float64(r.DelayUS))
-		times[r.Order].Y = append(times[r.Order].Y, r.Point.AvgOpTime)
-	}
-	var fs, ts []plot.Series
-	for _, name := range order {
-		fs = append(fs, *frac[name])
-		ts = append(ts, *times[name])
-	}
-	fracChart := plot.LineChart(
-		fmt.Sprintf("Hierarchical sweep: cross-cluster probe fraction vs added remote delay (%s)", label),
-		"added delay per remote op (virt µs)", "cross-cluster probe fraction",
-		70, 14,
-		fs,
-	)
-	timeChart := plot.LineChart(
-		fmt.Sprintf("Hierarchical sweep: avg operation time vs added remote delay (%s)", label),
-		"added delay per remote op (virt µs)", "avg op time (virt µs)",
-		70, 14,
-		ts,
-	)
-	// Best flat (locality-blind, non-hierarchical) time per delay for the
-	// ratio column.
-	bestFlat := map[int64]float64{}
-	for _, r := range rows {
-		if r.Order != "linear" && r.Order != "random" {
-			continue
-		}
-		if v, ok := bestFlat[r.DelayUS]; !ok || r.Point.AvgOpTime < v {
-			bestFlat[r.DelayUS] = r.Point.AvgOpTime
-		}
-	}
-	var cells [][]string
-	for _, r := range rows {
-		ratio := "-"
-		if r.Order == "hier" && bestFlat[r.DelayUS] > 0 {
-			ratio = fmt.Sprintf("%.3f", r.Point.AvgOpTime/bestFlat[r.DelayUS])
-		}
-		cells = append(cells, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.3f", r.Point.CrossProbeFrac),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.SegmentsExamined),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-			ratio,
-		})
-	}
-	table := plot.Table([]string{
-		"order", "delay (µs)", "cross-frac", "µs/op", "segs/steal", "steals/op", "aborts/op", "vs best flat",
-	}, cells)
-	return fracChart + "\n" + timeChart + "\n" + table
-}
-
-// HierCSV emits the sweep as comma-separated values. The topology column
-// keeps rows from the two-level and three-level sweeps distinguishable
-// when both blocks appear in one output.
-func HierCSV(rows []HierRow) string {
-	header := []string{"order", "topology", "delay_us", "cross_probe_frac", "avg_op_us", "segs_per_steal", "steals_per_op", "aborts_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Order,
-			r.Topo,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.4f", r.Point.CrossProbeFrac),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.SegmentsExamined),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
+	xLabel := "added delay per remote op (virt µs)"
+	frac := seriesBy(rows, rowSeries, rowX, func(r Row) float64 { return r.Point.CrossProbeFrac })
+	times := seriesBy(rows, rowSeries, rowX, func(r Row) float64 { return r.Point.AvgOpTime })
+	return chart(fmt.Sprintf("Hierarchical sweep: cross-cluster probe fraction vs added remote delay (%s)", label),
+			xLabel, "cross-cluster probe fraction", 14, frac) + "\n" +
+			chart(fmt.Sprintf("Hierarchical sweep: avg operation time vs added remote delay (%s)", label),
+				xLabel, "avg op time (virt µs)", 14, times) + "\n" + table(rows, cols),
+		csvTable(rows, cols)
 }

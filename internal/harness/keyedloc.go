@@ -5,8 +5,6 @@ import (
 
 	"pools/internal/keyed"
 	"pools/internal/numa"
-	"pools/internal/plot"
-	"pools/internal/policy"
 	"pools/internal/rng"
 )
 
@@ -20,26 +18,13 @@ import (
 // the counts are workload-determined, the price scales with the swept
 // per-hop delay.
 
-// KeyedLocOrderNames lists the sweep orders compared: the default ring
-// walk, the cost-ranked order, and cluster-first hierarchical rings.
+// KeyedLocOrderNames lists the sweep orders compared (see orderSet): the
+// default ring walk, the cost-ranked order, and cluster-first
+// hierarchical rings. LocalityOrder ranks by the cost model, so at zero
+// added delay (a victim-uniform model) it degenerates to the ring walk,
+// while HierarchicalOrder ranks by the topology's rings regardless of
+// scale.
 func KeyedLocOrderNames() []string { return []string{"ring", "locality", "hier"} }
-
-// keyedLocSet builds the policy set for one keyed sweep order. Note that
-// LocalityOrder ranks by the cost model, so at zero added delay (a
-// victim-uniform model) it degenerates to the ring walk, while
-// HierarchicalOrder ranks by the topology's rings regardless of scale.
-func keyedLocSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
-	switch name {
-	case "ring":
-		return policy.Set{}
-	case "locality":
-		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
-	case "hier":
-		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}
-	default:
-		panic(fmt.Sprintf("harness: unknown keyed sweep order %q", name))
-	}
-}
 
 // KeyedLocRow is one (sweep order, delay scale) measurement.
 type KeyedLocRow struct {
@@ -72,7 +57,7 @@ func KeyedLocalitySweep(cfg Config, scales []int64) []KeyedLocRow {
 			costs := c.Costs.WithTopology(topo).WithExtraDelay(d)
 			p, err := keyed.New[int, int](keyed.Options{
 				Segments: c.Procs,
-				Policies: keyedLocSet(name, costs, topo),
+				Policies: orderSet(name, costs, topo),
 				Topology: topo,
 			})
 			if err != nil {
@@ -128,62 +113,20 @@ func KeyedLocalitySweep(cfg Config, scales []int64) []KeyedLocRow {
 	return out
 }
 
-// RenderKeyedLoc draws the keyed sweep: modeled probe cost per Get across
-// the delay scales, one series per sweep order, plus the measurement
-// table.
-func RenderKeyedLoc(rows []KeyedLocRow) string {
-	series := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		s := series[r.Order]
-		if s == nil {
-			s = &plot.Series{Name: r.Order}
-			series[r.Order] = s
-			order = append(order, r.Order)
-		}
-		s.X = append(s.X, float64(r.DelayUS))
-		s.Y = append(s.Y, r.CostPerGet)
+// renderKeyedLoc draws the keyed sweep — modeled probe cost per Get
+// across the delay scales, one series per sweep order, plus the
+// measurement table — and the CSV block.
+func renderKeyedLoc(rows []KeyedLocRow) (text, csv string) {
+	cols := []column[KeyedLocRow]{
+		{head: "order", cell: func(r KeyedLocRow) string { return r.Order }, csv: "order"},
+		count("delay (µs)", "delay_us", func(r KeyedLocRow) int64 { return r.DelayUS }),
+		fixed("probes/get", "%.2f", "probes_per_get", "%.3f", func(r KeyedLocRow) float64 { return r.ProbesPerGet }),
+		fixed("cross-frac", "%.3f", "cross_frac", "%.4f", func(r KeyedLocRow) float64 { return r.CrossFrac }),
+		num("probe µs/get", 1, "probe_cost_per_get", "%.2f", func(r KeyedLocRow) float64 { return r.CostPerGet }),
+		count("misses", "misses", func(r KeyedLocRow) int64 { return r.Misses }),
 	}
-	var ss []plot.Series
-	for _, name := range order {
-		ss = append(ss, *series[name])
-	}
-	chart := plot.LineChart(
-		fmt.Sprintf("Keyed locality sweep: modeled probe cost per Get vs added remote delay (%d-proc clusters)", LocalityClusterSize),
-		"added delay per remote op (virt µs)", "probe cost per Get (virt µs)",
-		70, 14,
-		ss,
-	)
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.2f", r.ProbesPerGet),
-			fmt.Sprintf("%.3f", r.CrossFrac),
-			fmtF(r.CostPerGet),
-			fmt.Sprintf("%d", r.Misses),
-		})
-	}
-	table := plot.Table([]string{
-		"order", "delay (µs)", "probes/get", "cross-frac", "probe µs/get", "misses",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// KeyedLocCSV emits the sweep as comma-separated values.
-func KeyedLocCSV(rows []KeyedLocRow) string {
-	header := []string{"order", "delay_us", "probes_per_get", "cross_frac", "probe_cost_per_get", "misses"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.3f", r.ProbesPerGet),
-			fmt.Sprintf("%.4f", r.CrossFrac),
-			fmt.Sprintf("%.2f", r.CostPerGet),
-			fmt.Sprintf("%d", r.Misses),
-		})
-	}
-	return plot.CSV(header, out)
+	series := seriesBy(rows, func(r KeyedLocRow) string { return r.Order },
+		func(r KeyedLocRow) float64 { return float64(r.DelayUS) }, func(r KeyedLocRow) float64 { return r.CostPerGet })
+	return chart(fmt.Sprintf("Keyed locality sweep: modeled probe cost per Get vs added remote delay (%d-proc clusters)", LocalityClusterSize),
+		"added delay per remote op (virt µs)", "probe cost per Get (virt µs)", 14, series) + "\n" + table(rows, cols), csvTable(rows, cols)
 }

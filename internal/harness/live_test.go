@@ -90,10 +90,10 @@ func TestEventTraceRun(t *testing.T) {
 			t.Errorf("handle %d: density sums to %d, timeline has %d events", h, sum, len(tl.Events))
 		}
 	}
-	if out := RenderEventTrace(r); out == "" {
+	out, csv := r.render()
+	if out == "" {
 		t.Error("empty render")
 	}
-	csv := EventTraceCSV(r)
 	if len(csv) == 0 || csv[:3] != "ts," {
 		t.Error("CSV missing header")
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"pools/internal/numa"
 	"pools/internal/plot"
@@ -40,28 +41,35 @@ func LocalityOrderNames() []string {
 	return []string{"linear", "random", "tree", "locality"}
 }
 
-// localitySet builds a fresh policy set for one victim-order name under
-// the given cost model.
-func localitySet(name string, costs numa.CostModel) policy.Set {
+// orderSet builds a fresh policy set for one named victim-order
+// configuration of the clustered sweeps (locality, hier, keyedloc) under
+// the given cost model and hop topology. "ring" is the keyed pool's
+// default sweep; the flat names are the paper's search orders.
+func orderSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
+	hier := policy.HierarchicalOrder{Topo: topo}
 	switch name {
-	case "locality":
-		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
+	case "ring":
+		return policy.Set{}
 	case "linear":
 		return policy.Set{Order: policy.Order{Kind: search.Linear}}
 	case "random":
 		return policy.Set{Order: policy.Order{Kind: search.Random}}
 	case "tree":
 		return policy.Set{Order: policy.Order{Kind: search.Tree}}
+	case "locality":
+		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
+	case "hier":
+		return policy.Set{Order: hier}
+	case "hier-adaptive":
+		// Fresh per trial: each handle's spawned controller is both its
+		// steal amount and its escalation tuner (policy.Escalator).
+		p := policy.NewPerHandle()
+		return policy.Set{Order: hier, Steal: p, Control: p}
+	case "hier-place":
+		return policy.Set{Order: hier, Place: policy.GiftToNearestEmptiest{Model: costs}}
 	default:
 		panic(fmt.Sprintf("harness: unknown victim order %q", name))
 	}
-}
-
-// LocalityRow is one (victim order, delay scale) measurement.
-type LocalityRow struct {
-	Order   string
-	DelayUS int64
-	Point   Point
 }
 
 // LocalityMix is the job mix of the locality sweep: the paper's sparse
@@ -73,115 +81,79 @@ type LocalityRow struct {
 const LocalityMix = 0.3
 
 // LocalitySweep runs the sparse random-operations workload on a
-// clustered machine at each added remote delay under each victim order.
-// Expected shape: at zero delay all orders coincide with their fallbacks
+// clustered machine at each added remote delay under each victim order
+// (see orderSweep for the row layout). Expected
+// shape: at zero delay all orders coincide with their fallbacks
 // (LocalityOrder falls back to linear — with no per-victim cost
 // difference there is nothing to rank); as the delay grows, random and
 // tree pay the far-cluster rate on most probes (they wander across
 // cluster boundaries, and the tree's round counters are remote besides)
 // while the locality order exhausts its cheap in-cluster victims first
 // and its curve pulls away below the blind orders.
-func LocalitySweep(cfg Config, scales []int64) []LocalityRow {
+func LocalitySweep(cfg Config, scales []int64) []Row {
+	return orderSweep(cfg, scales, numa.Clusters{Size: LocalityClusterSize}, LocalityOrderNames())
+}
+
+// orderSweep runs the sparse random-operations workload on topo at each
+// added remote delay under each named orderSet configuration. Rows carry
+// the configuration as Series, topo's name as Case, and the delay as
+// Point.X.
+func orderSweep(cfg Config, scales []int64, topo numa.Topology, names []string) []Row {
 	c := cfg.withDefaults()
-	base := c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize})
-	var out []LocalityRow
-	for _, name := range LocalityOrderNames() {
+	base := c.Costs.WithTopology(topo)
+	var out []Row
+	for _, name := range names {
 		for _, d := range scales {
-			name, d := name, d
-			costs := base.WithExtraDelay(d)
 			cd := c
-			cd.Costs = costs
+			cd.Costs = base.WithExtraDelay(d)
 			pt := cd.average(float64(d), func(seed uint64) sim.RunResult {
 				w := cd.workloadFor(workload.RandomOps)
 				w.AddFraction = LocalityMix
 				return sim.Run(sim.RunConfig{
-					Workload: w, Search: search.Linear, Costs: costs,
-					Seed: seed, Policies: localitySet(name, costs),
+					Workload: w, Search: search.Linear, Costs: cd.Costs,
+					Seed: seed, Policies: orderSet(name, cd.Costs, topo),
 				})
 			})
-			out = append(out, LocalityRow{Order: name, DelayUS: d, Point: pt})
+			out = append(out, Row{Series: name, Case: topo.Name(), Point: pt})
 		}
 	}
 	return out
 }
 
-// RenderLocality draws the locality sweep: one average-operation-time
+// ratioCol is the table-only column comparing the challenger series'
+// average operation time with the best of the baseline series at the
+// same sweep position ("-" on every other row).
+func ratioCol(head string, rows []Row, challenger string, baseline ...string) column[Row] {
+	best := map[float64]float64{}
+	for _, r := range rows {
+		if !slices.Contains(baseline, r.Series) {
+			continue
+		}
+		if v, ok := best[r.Point.X]; !ok || r.Point.AvgOpTime < v {
+			best[r.Point.X] = r.Point.AvgOpTime
+		}
+	}
+	return column[Row]{head: head, cell: func(r Row) string {
+		if r.Series != challenger || best[r.Point.X] <= 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.3f", r.Point.AvgOpTime/best[r.Point.X])
+	}}
+}
+
+// renderLocality draws the locality sweep — one average-operation-time
 // series per victim order across the delay scales (the paper's Figure 2
 // metric), plus the measurement table with a locality/best-blind ratio
 // column (< 1.0 means the cost-ranked order beat every blind order at
-// that delay).
-func RenderLocality(rows []LocalityRow) string {
-	series := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		s := series[r.Order]
-		if s == nil {
-			s = &plot.Series{Name: r.Order}
-			series[r.Order] = s
-			order = append(order, r.Order)
-		}
-		s.X = append(s.X, float64(r.DelayUS))
-		s.Y = append(s.Y, r.Point.AvgOpTime)
+// that delay) — and the CSV block.
+func renderLocality(rows []Row) (text, csv string) {
+	cols := []column[Row]{
+		seriesCol("order", "order"), xCol("delay (µs)", "delay_us"), opUSCol, removeUSCol, segsCol, stealsCol, abortsCol,
+		ratioCol("vs best blind", rows, "locality", "linear", "random", "tree"), makespanCol.csvOnly(),
 	}
-	var ss []plot.Series
-	for _, name := range order {
-		ss = append(ss, *series[name])
-	}
-	chart := plot.LineChart(
-		fmt.Sprintf("Locality sweep: avg operation time vs added remote delay (clustered topology, %d-proc clusters)", LocalityClusterSize),
-		"added delay per remote op (virt µs)", "avg op time (virt µs)",
-		70, 16,
-		ss,
-	)
-	best := map[int64]float64{}
-	for _, r := range rows {
-		if r.Order == "locality" {
-			continue
-		}
-		if v, ok := best[r.DelayUS]; !ok || r.Point.AvgOpTime < v {
-			best[r.DelayUS] = r.Point.AvgOpTime
-		}
-	}
-	var cells [][]string
-	for _, r := range rows {
-		ratio := "-"
-		if r.Order == "locality" && best[r.DelayUS] > 0 {
-			ratio = fmt.Sprintf("%.3f", r.Point.AvgOpTime/best[r.DelayUS])
-		}
-		cells = append(cells, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.AvgRemoveTime),
-			fmtF(r.Point.SegmentsExamined),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-			ratio,
-		})
-	}
-	table := plot.Table([]string{
-		"order", "delay (µs)", "µs/op", "µs/remove", "segs/steal", "steals/op", "aborts/op", "vs best blind",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// LocalityCSV emits the sweep as comma-separated values.
-func LocalityCSV(rows []LocalityRow) string {
-	header := []string{"order", "delay_us", "avg_op_us", "avg_remove_us", "segs_per_steal", "steals_per_op", "aborts_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.AvgRemoveTime),
-			fmt.Sprintf("%.2f", r.Point.SegmentsExamined),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
+	series := seriesBy(rows, rowSeries, rowX, func(r Row) float64 { return r.Point.AvgOpTime })
+	return chart(fmt.Sprintf("Locality sweep: avg operation time vs added remote delay (clustered topology, %d-proc clusters)", LocalityClusterSize),
+		"added delay per remote op (virt µs)", "avg op time (virt µs)", 16, series) + "\n" + table(rows, cols), csvTable(rows, cols)
 }
 
 // ControlTraceResult holds one controller-trajectory run: the per-handle
@@ -221,39 +193,17 @@ type ControlTraceResult struct {
 // all-consumer cluster pays the boundary on most probes.
 func ControlTraceRun(cfg Config, kind search.Kind, producers, batch int) ControlTraceResult {
 	c := cfg.withDefaults()
-	set, err := policy.Named("per-handle")
-	if err != nil {
-		panic(err) // programmer error: the name is a registry constant
-	}
-	w := c.workloadFor(workload.Burst)
-	w.Producers = producers
-	w.Arrangement = workload.Contiguous
-	w.BatchSize = batch
-	res := sim.Run(sim.RunConfig{
-		Workload: w, Search: kind,
-		Costs: c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize}),
-		Seed:  rng.SubSeed(c.Seed, 0), Policies: set, ControlTrace: true,
-	})
-
-	const buckets = 100
-	end := int64(1)
+	res := c.burstTrace(kind, producers, batch, sim.RunConfig{ControlTrace: true})
+	var end int64
 	for i := range res.Controls {
-		if t := res.Controls[i].FracPermil.MaxTime(); t > end {
-			end = t
-		}
+		end = max(end, res.Controls[i].FracPermil.MaxTime())
 	}
-	times := make([]int64, buckets)
-	for i := range times {
-		times[i] = end * int64(i+1) / buckets
-	}
+	times := bucketTimes(end)
 	out := ControlTraceResult{
 		Kind:      kind,
 		Batch:     batch,
-		Producers: map[int]bool{},
+		Producers: producerSet(c.Procs, producers, workload.Contiguous),
 		Makespan:  res.Makespan,
-	}
-	for _, p := range workload.ProducerPositions(c.Procs, producers, workload.Contiguous) {
-		out.Producers[p] = true
 	}
 	for i := range res.Controls {
 		fr := res.Controls[i].FracPermil.SampleAt(times)
@@ -269,22 +219,40 @@ func ControlTraceRun(cfg Config, kind search.Kind, producers, batch int) Control
 	return out
 }
 
-// RenderControlTrace draws the trajectory panels — steal fraction per
-// handle over virtual time, then each handle's cross-cluster probe
-// fraction — and the final-operating-point table.
-func RenderControlTrace(r ControlTraceResult) string {
+// burstTrace runs the trial both trace experiments record: the burst
+// producer/consumer workload with contiguous producers under the
+// per-handle adaptive policy on the clustered topology, with the
+// recording switched on in rc.
+func (c Config) burstTrace(kind search.Kind, producers, batch int, rc sim.RunConfig) sim.RunResult {
+	set, err := policy.Named("per-handle")
+	if err != nil {
+		panic(err) // programmer error: the name is a registry constant
+	}
+	rc.Workload = c.workloadFor(workload.Burst)
+	rc.Workload.Producers = producers
+	rc.Workload.Arrangement = workload.Contiguous
+	rc.Workload.BatchSize = batch
+	rc.Search = kind
+	rc.Costs = c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize})
+	rc.Seed = rng.SubSeed(c.Seed, 0)
+	rc.Policies = set
+	return sim.Run(rc)
+}
+
+// render draws the trajectory panels — steal fraction per handle over
+// virtual time, then each handle's cross-cluster probe fraction — and the
+// final-operating-point table; the CSV block holds the trajectories in
+// long form, one row per (handle, sample).
+func (r ControlTraceResult) render() (text, csv string) {
 	title := fmt.Sprintf("Controller trajectories: per-handle steal fraction over time (%s search, burst batch %d)",
 		r.Kind, r.Batch)
 	body := plot.TracePanels(title, "handle", "steal fraction (permil)", r.FracSampled, r.Producers, "P", "C")
 	crossTitle := fmt.Sprintf("Cross-cluster probe fraction per handle over time (%d-proc clusters)",
 		LocalityClusterSize)
 	body += "\n" + plot.TracePanels(crossTitle, "handle", "cross-probe fraction (permil)", r.CrossSampled, r.Producers, "P", "C")
-	var cells [][]string
+	var cells, samples [][]string
 	for h := range r.FracSampled {
-		role := "consumer"
-		if r.Producers[h] {
-			role = "producer"
-		}
+		role := handleRole(r.Producers, h)
 		cells = append(cells, []string{
 			fmt.Sprintf("%d", h),
 			role,
@@ -292,23 +260,8 @@ func RenderControlTrace(r ControlTraceResult) string {
 			fmt.Sprintf("%d", r.FinalBatch[h]),
 			fmt.Sprintf("%.3f", r.FinalCross[h]),
 		})
-	}
-	table := plot.Table([]string{"handle", "role", "final steal fraction", "final batch", "final cross-frac"}, cells)
-	return body + "\n" + table
-}
-
-// ControlTraceCSV emits the trajectories in long form: one row per
-// (handle, sample).
-func ControlTraceCSV(r ControlTraceResult) string {
-	header := []string{"handle", "role", "sample", "frac_permil", "batch", "cross_permil"}
-	var out [][]string
-	for h := range r.FracSampled {
-		role := "consumer"
-		if r.Producers[h] {
-			role = "producer"
-		}
 		for i := range r.FracSampled[h] {
-			out = append(out, []string{
+			samples = append(samples, []string{
 				fmt.Sprintf("%d", h),
 				role,
 				fmt.Sprintf("%d", i),
@@ -318,5 +271,15 @@ func ControlTraceCSV(r ControlTraceResult) string {
 			})
 		}
 	}
-	return plot.CSV(header, out)
+	table := plot.Table([]string{"handle", "role", "final steal fraction", "final batch", "final cross-frac"}, cells)
+	return body + "\n" + table,
+		plot.CSV([]string{"handle", "role", "sample", "frac_permil", "batch", "cross_permil"}, samples)
+}
+
+// handleRole names handle h's workload role for the trace tables.
+func handleRole(producers map[int]bool, h int) string {
+	if producers[h] {
+		return "producer"
+	}
+	return "consumer"
 }

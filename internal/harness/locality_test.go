@@ -21,7 +21,7 @@ func TestLocalitySweepBeatsBlindAtScale(t *testing.T) {
 	}
 	at := func(order string, d int64) Point {
 		for _, r := range rows {
-			if r.Order == order && r.DelayUS == d {
+			if r.Series == order && r.Point.X == float64(d) {
 				return r.Point
 			}
 		}
@@ -48,13 +48,12 @@ func TestLocalitySweepBeatsBlindAtScale(t *testing.T) {
 func TestRenderLocality(t *testing.T) {
 	cfg := Config{Trials: 1, Seed: 7, Ops: 600, Fill: 64}
 	rows := LocalitySweep(cfg, []int64{0, 1000})
-	out := RenderLocality(rows)
+	out, csv := renderLocality(rows)
 	for _, want := range []string{"Locality sweep", "clustered topology", "locality", "vs best blind", "added delay"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
-	csv := LocalityCSV(rows)
 	if !strings.Contains(csv, "order,delay_us,avg_op_us") {
 		t.Errorf("CSV header missing:\n%s", csv)
 	}
@@ -85,7 +84,7 @@ func TestControlTraceRunDiverges(t *testing.T) {
 	if !moved {
 		t.Fatal("no consumer fraction left steal-half: per-handle control invisible")
 	}
-	out := RenderControlTrace(res)
+	out, csv := res.render()
 	for _, want := range []string{"Controller trajectories", "handle  0 P", "final steal fraction", "steal fraction (permil)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -107,7 +106,6 @@ func TestControlTraceRunDiverges(t *testing.T) {
 	if !crossed {
 		t.Error("no handle shows a cross-cluster probe fraction: trace accounting lost")
 	}
-	csv := ControlTraceCSV(res)
 	if !strings.Contains(csv, "handle,role,sample,frac_permil,batch,cross_permil") {
 		t.Errorf("CSV header missing:\n%s", csv)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pools/internal/plot"
 	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -24,13 +23,6 @@ import (
 // presentation order (see policy.Named).
 func PolicyNames() []string { return policy.Names() }
 
-// PolicyRow is one (policy, batch size) measurement.
-type PolicyRow struct {
-	Policy string
-	Batch  int
-	Point  Point
-}
-
 // policyBurstRun executes one burst trial under a freshly constructed
 // policy set (adaptive controllers carry state, so sharing one across
 // trials would contaminate the average).
@@ -50,32 +42,24 @@ func (c Config) policyBurstRun(name string, kind search.Kind, producers, batch, 
 }
 
 // PolicySweep runs the burst workload at each batch size under each steal
-// policy, averaging the usual measurements per data point. Producers are
+// policy, averaging the usual measurements per data point (rows carry the
+// policy name as Series and the batch size as Point.X). Producers are
 // balanced around the ring. Expected shape: steal-one pays a search per
 // batch and stays flat and slow; steal-half amortizes; proportional
 // tracks the requested batch exactly; adaptive should sit within a few
 // percent of the best static policy at every batch size without being
 // configured for any of them.
-func PolicySweep(cfg Config, kind search.Kind, producers int, batches []int) []PolicyRow {
+func PolicySweep(cfg Config, kind search.Kind, producers int, batches []int) []Row {
 	c := cfg.withDefaults()
-	var out []PolicyRow
+	var out []Row
 	for _, name := range PolicyNames() {
 		for _, bs := range batches {
-			name, bs := name, bs
-			pt := c.average(float64(bs), func(seed uint64) sim.RunResult {
+			out = append(out, Row{Series: name, Point: c.average(float64(bs), func(seed uint64) sim.RunResult {
 				return c.policyBurstRun(name, kind, producers, bs, 0, seed)
-			})
-			out = append(out, PolicyRow{Policy: name, Batch: bs, Point: pt})
+			})})
 		}
 	}
 	return out
-}
-
-// PolicyFluctRow is one (policy, role-flip cadence) measurement.
-type PolicyFluctRow struct {
-	Policy    string
-	FlipEvery int // 0 = fixed roles
-	Point     Point
 }
 
 // PolicyFluctuate runs the burst workload at one batch size while the
@@ -84,120 +68,39 @@ type PolicyFluctRow struct {
 // moving frontier, so static transfer policies tuned for a stationary
 // layout lose their footing. flips lists the cadences (0 = fixed roles
 // for reference); at the paper scale each process moves only a few
-// hundred elements, so meaningful cadences are well under that.
-func PolicyFluctuate(cfg Config, kind search.Kind, producers, batch int, flips []int) []PolicyFluctRow {
+// hundred elements, so meaningful cadences are well under that. Rows
+// carry the policy name as Series, the role schedule as Case, and the
+// cadence as Point.X.
+func PolicyFluctuate(cfg Config, kind search.Kind, producers, batch int, flips []int) []Row {
 	c := cfg.withDefaults()
-	var out []PolicyFluctRow
+	var out []Row
 	for _, name := range PolicyNames() {
 		for _, flip := range flips {
-			name, flip := name, flip
-			pt := c.average(float64(flip), func(seed uint64) sim.RunResult {
+			roles := "fixed"
+			if flip > 0 {
+				roles = fmt.Sprintf("rotate/%d elems", flip)
+			}
+			out = append(out, Row{Series: name, Case: roles, Point: c.average(float64(flip), func(seed uint64) sim.RunResult {
 				return c.policyBurstRun(name, kind, producers, batch, flip, seed)
-			})
-			out = append(out, PolicyFluctRow{Policy: name, FlipEvery: flip, Point: pt})
+			})})
 		}
 	}
 	return out
 }
 
-// RenderPolicy draws the policy sweep: one per-element-time series per
-// policy across the batch sweep, plus the measurement table.
-func RenderPolicy(kind search.Kind, rows []PolicyRow) string {
-	series := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		s := series[r.Policy]
-		if s == nil {
-			s = &plot.Series{Name: r.Policy}
-			series[r.Policy] = s
-			order = append(order, r.Policy)
-		}
-		s.X = append(s.X, float64(r.Batch))
-		s.Y = append(s.Y, r.Point.PerElementTime)
+// renderPolicy draws the policy sweep — one per-element-time series per
+// policy across the batch sweep, plus the measurement table — and the
+// fluctuating-roles table at the given batch size, followed in the CSV
+// block by both sweeps.
+func renderPolicy(kind search.Kind, rows []Row, batch int, fluct []Row) (text, csv string) {
+	cols := []column[Row]{seriesCol("policy", "policy"), xCol("batch", "batch"), perElemCol, opUSCol, stolenCol, stealsCol, abortsCol, makespanCol}
+	fluctCols := []column[Row]{
+		seriesCol("policy", "policy"), {head: "roles", cell: rowCase, csv: "flip_every", csvCell: rowXInt},
+		perElemCol, stolenCol, stealsCol, abortsCol,
 	}
-	var ss []plot.Series
-	for _, name := range order {
-		ss = append(ss, *series[name])
-	}
-	chart := plot.LineChart(
-		fmt.Sprintf("Policy sweep: per-element time vs batch size (%s search, burst workload)", kind),
-		"batch size (elements per PutAll/GetN)", "per-element time (virt µs)",
-		70, 16,
-		ss,
-	)
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Policy,
-			fmt.Sprintf("%d", r.Batch),
-			fmtF(r.Point.PerElementTime),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-			fmtF(r.Point.MakespanMean / 1000),
-		})
-	}
-	table := plot.Table([]string{
-		"policy", "batch", "µs/element", "µs/op", "stolen/steal", "steals/op", "aborts/op", "makespan (ms)",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// RenderPolicyFluct formats the fluctuating-roles comparison table.
-func RenderPolicyFluct(batch int, rows []PolicyFluctRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		roles := "fixed"
-		if r.FlipEvery > 0 {
-			roles = fmt.Sprintf("rotate/%d elems", r.FlipEvery)
-		}
-		cells = append(cells, []string{
-			r.Policy,
-			roles,
-			fmtF(r.Point.PerElementTime),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-		})
-	}
-	return fmt.Sprintf("Fluctuating producers (batch %d):\n", batch) + plot.Table([]string{
-		"policy", "roles", "µs/element", "stolen/steal", "steals/op", "aborts/op",
-	}, cells)
-}
-
-// PolicyCSV emits the batch sweep as comma-separated values.
-func PolicyCSV(rows []PolicyRow) string {
-	header := []string{"policy", "batch", "per_element_us", "avg_op_us", "stolen_per_steal", "steals_per_op", "aborts_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Policy,
-			fmt.Sprintf("%d", r.Batch),
-			fmt.Sprintf("%.2f", r.Point.PerElementTime),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.ElementsStolen),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
-}
-
-// PolicyFluctCSV emits the fluctuating-roles comparison as CSV.
-func PolicyFluctCSV(rows []PolicyFluctRow) string {
-	header := []string{"policy", "flip_every", "per_element_us", "stolen_per_steal", "steals_per_op", "aborts_per_op"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Policy,
-			fmt.Sprintf("%d", r.FlipEvery),
-			fmt.Sprintf("%.2f", r.Point.PerElementTime),
-			fmt.Sprintf("%.2f", r.Point.ElementsStolen),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-		})
-	}
-	return plot.CSV(header, out)
+	series := seriesBy(rows, rowSeries, rowX, func(r Row) float64 { return r.Point.PerElementTime })
+	text = chart(fmt.Sprintf("Policy sweep: per-element time vs batch size (%s search, burst workload)", kind),
+		"batch size (elements per PutAll/GetN)", "per-element time (virt µs)", 16, series) + "\n" + table(rows, cols) +
+		"\n" + fmt.Sprintf("Fluctuating producers (batch %d):\n", batch) + table(fluct, fluctCols)
+	return text, csvTable(rows, cols) + "\n" + csvTable(fluct, fluctCols)
 }

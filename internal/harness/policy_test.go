@@ -18,8 +18,8 @@ func TestPolicySweepAdaptiveCompetitive(t *testing.T) {
 	rows := PolicySweep(cfg, search.Tree, 5, []int{16})
 	perElem := map[string]float64{}
 	for _, r := range rows {
-		if r.Batch == 16 {
-			perElem[r.Policy] = r.Point.PerElementTime
+		if r.Point.X == 16 {
+			perElem[r.Series] = r.Point.PerElementTime
 		}
 	}
 	best := 0.0
@@ -50,7 +50,7 @@ func TestPolicySweepSeparatesPolicies(t *testing.T) {
 	rows := PolicySweep(cfg, search.Tree, 5, []int{16})
 	byPolicy := map[string]Point{}
 	for _, r := range rows {
-		byPolicy[r.Policy] = r.Point
+		byPolicy[r.Series] = r.Point
 	}
 	if got := byPolicy["one"].ElementsStolen; got != 1 {
 		t.Fatalf("steal-one stolen/steal = %.2f, want 1", got)
@@ -69,15 +69,15 @@ func TestPolicyFluctuate(t *testing.T) {
 	if len(rows) != len(PolicyNames())*2 {
 		t.Fatalf("got %d rows, want %d", len(rows), len(PolicyNames())*2)
 	}
-	byKey := map[string]map[int]Point{}
+	byKey := map[string]map[float64]Point{}
 	for _, r := range rows {
 		if r.Point.PerElementTime <= 0 {
-			t.Fatalf("row %s/%d has no per-element time", r.Policy, r.FlipEvery)
+			t.Fatalf("row %s/%s has no per-element time", r.Series, r.Case)
 		}
-		if byKey[r.Policy] == nil {
-			byKey[r.Policy] = map[int]Point{}
+		if byKey[r.Series] == nil {
+			byKey[r.Series] = map[float64]Point{}
 		}
-		byKey[r.Policy][r.FlipEvery] = r.Point
+		byKey[r.Series][r.Point.X] = r.Point
 	}
 	// The cadence must actually rotate roles: at ~300 elements per process
 	// a flip-50 run cannot be byte-identical to fixed roles for every
@@ -98,23 +98,21 @@ func TestPolicyFluctuate(t *testing.T) {
 func TestRenderPolicy(t *testing.T) {
 	cfg := Config{Trials: 1, Seed: 11}
 	rows := PolicySweep(cfg, search.Tree, 5, []int{1, 8})
-	out := RenderPolicy(search.Tree, rows)
+	fluct := PolicyFluctuate(cfg, search.Linear, 4, 8, []int{0, 10})
+	out, both := renderPolicy(search.Tree, rows, 8, fluct)
 	for _, want := range []string{"half", "one", "proportional", "adaptive", "per-element time", "µs/element"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered sweep missing %q:\n%s", want, out)
 		}
 	}
-	csv := PolicyCSV(rows)
+	csv, fcsv, _ := strings.Cut(both, "\n\n")
 	if !strings.Contains(csv, "per_element_us") ||
 		len(strings.Split(strings.TrimSpace(csv), "\n")) != len(rows)+1 {
 		t.Fatalf("unexpected CSV:\n%s", csv)
 	}
-	fluct := PolicyFluctuate(cfg, search.Linear, 4, 8, []int{0, 10})
-	fout := RenderPolicyFluct(8, fluct)
-	if !strings.Contains(fout, "rotate/10 elems") || !strings.Contains(fout, "Fluctuating") {
-		t.Fatalf("fluct render missing content:\n%s", fout)
+	if !strings.Contains(out, "rotate/10 elems") || !strings.Contains(out, "Fluctuating") {
+		t.Fatalf("fluct render missing content:\n%s", out)
 	}
-	fcsv := PolicyFluctCSV(fluct)
 	if !strings.Contains(fcsv, "flip_every") ||
 		len(strings.Split(strings.TrimSpace(fcsv), "\n")) != len(fluct)+1 {
 		t.Fatalf("unexpected fluct CSV:\n%s", fcsv)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pools/internal/metrics"
-	"pools/internal/plot"
 	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
@@ -145,77 +144,34 @@ func TenantSweep(cfg Config, counts []int, skews []float64) []TenantRow {
 	return out
 }
 
-// RenderTenants draws the sweep figure (worst-tenant p99 vs skew, one
-// series per tenant count) and the full per-tenant table.
-func RenderTenants(rows []TenantRow) string {
-	series := map[int]*plot.Series{}
-	var order []int
-	for _, r := range rows {
-		s, ok := series[r.Tenants]
-		if !ok {
-			s = &plot.Series{Name: fmt.Sprintf("%d tenants", r.Tenants)}
-			series[r.Tenants] = s
-			order = append(order, r.Tenants)
-		}
-		s.X = append(s.X, r.Skew)
-		s.Y = append(s.Y, r.WorstP99/1000)
+// renderTenants draws the sweep figure (worst-tenant p99 vs skew, one
+// series per tenant count) and the full per-tenant table, and the CSV
+// block with one line per tenant per sweep cell.
+func renderTenants(rows []TenantRow) (text, csv string) {
+	type cell struct {
+		TenantRow
+		TenantPoint
 	}
-	var ss []plot.Series
-	for _, nt := range order {
-		ss = append(ss, *series[nt])
-	}
-	chart := plot.LineChart(
-		"Open-loop tenants: worst-tenant p99 sojourn vs lambda skew (linear search, tenant-fair placement)",
-		"lambda skew (zipf exponent)", "worst-tenant p99 sojourn (virt ms)",
-		70, 16,
-		ss,
-	)
-	var cells [][]string
+	var cells []cell
 	for _, r := range rows {
 		for _, p := range r.Points {
-			cells = append(cells, []string{
-				fmt.Sprintf("%d", r.Tenants),
-				fmtF(r.Skew),
-				fmt.Sprintf("%d", p.Tenant),
-				fmt.Sprintf("%d", p.Procs),
-				fmt.Sprintf("%.4f", p.Lambda),
-				fmtF(p.P50),
-				fmtF(p.P99),
-				fmtF(p.P999),
-				fmt.Sprintf("%.2f", p.Interference),
-				fmt.Sprintf("%d", p.Ops),
-			})
+			cells = append(cells, cell{r, p})
 		}
 	}
-	table := plot.Table([]string{
-		"tenants", "skew", "tenant", "procs", "λ/proc", "p50 µs", "p99 µs", "p999 µs", "interf", "ops",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// TenantsCSV emits the sweep as comma-separated values, one line per
-// tenant per sweep cell.
-func TenantsCSV(rows []TenantRow) string {
-	header := []string{
-		"tenants", "skew", "tenant", "procs", "lambda_per_proc",
-		"p50_us", "p99_us", "p999_us", "steal_interference", "ops",
+	cols := []column[cell]{
+		count("tenants", "tenants", func(c cell) int64 { return int64(c.Tenants) }),
+		num("skew", 1, "skew", "%.2f", func(c cell) float64 { return c.Skew }),
+		count("tenant", "tenant", func(c cell) int64 { return int64(c.Tenant) }),
+		count("procs", "procs", func(c cell) int64 { return int64(c.Procs) }),
+		fixed("λ/proc", "%.4f", "lambda_per_proc", "%.5f", func(c cell) float64 { return c.Lambda }),
+		num("p50 µs", 1, "p50_us", "%.1f", func(c cell) float64 { return c.P50 }),
+		num("p99 µs", 1, "p99_us", "%.1f", func(c cell) float64 { return c.P99 }),
+		num("p999 µs", 1, "p999_us", "%.1f", func(c cell) float64 { return c.P999 }),
+		fixed("interf", "%.2f", "steal_interference", "%.4f", func(c cell) float64 { return c.Interference }),
+		count("ops", "ops", func(c cell) int64 { return c.Ops }),
 	}
-	var out [][]string
-	for _, r := range rows {
-		for _, p := range r.Points {
-			out = append(out, []string{
-				fmt.Sprintf("%d", r.Tenants),
-				fmt.Sprintf("%.2f", r.Skew),
-				fmt.Sprintf("%d", p.Tenant),
-				fmt.Sprintf("%d", p.Procs),
-				fmt.Sprintf("%.5f", p.Lambda),
-				fmt.Sprintf("%.1f", p.P50),
-				fmt.Sprintf("%.1f", p.P99),
-				fmt.Sprintf("%.1f", p.P999),
-				fmt.Sprintf("%.4f", p.Interference),
-				fmt.Sprintf("%d", p.Ops),
-			})
-		}
-	}
-	return plot.CSV(header, out)
+	series := seriesBy(rows, func(r TenantRow) string { return fmt.Sprintf("%d tenants", r.Tenants) },
+		func(r TenantRow) float64 { return r.Skew }, func(r TenantRow) float64 { return r.WorstP99 / 1000 })
+	return chart("Open-loop tenants: worst-tenant p99 sojourn vs lambda skew (linear search, tenant-fair placement)",
+		"lambda skew (zipf exponent)", "worst-tenant p99 sojourn (virt ms)", 16, series) + "\n" + table(cells, cols), csvTable(cells, cols)
 }

@@ -148,9 +148,8 @@ func (s Set) Name() string {
 }
 
 // WithDefaults returns s with nil slots filled: steal-half, the given
-// search kind as victim order, and — when directed is true — whole-batch
-// gifting, otherwise local placement.
-func (s Set) WithDefaults(kind search.Kind, directed bool) Set {
+// search kind as victim order, and local placement.
+func (s Set) WithDefaults(kind search.Kind) Set {
 	if s.Steal == nil {
 		s.Steal = Half{}
 	}
@@ -161,11 +160,7 @@ func (s Set) WithDefaults(kind search.Kind, directed bool) Set {
 		s.Order = Order{Kind: kind}
 	}
 	if s.Place == nil {
-		if directed {
-			s.Place = GiftAll{}
-		} else {
-			s.Place = Local{}
-		}
+		s.Place = Local{}
 	}
 	return s
 }

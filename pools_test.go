@@ -56,8 +56,8 @@ func TestPublicAPIBadOptions(t *testing.T) {
 }
 
 func TestPublicAPIStealPolicies(t *testing.T) {
-	if pools.StealHalf.String() != "steal-half" || pools.StealOne.String() != "steal-one" {
-		t.Fatal("policy aliases broken")
+	if (pools.StealHalfAmount{}).Name() != "steal-half" || (pools.StealOneAmount{}).Name() != "steal-one" {
+		t.Fatal("steal policy names broken")
 	}
 }
 
