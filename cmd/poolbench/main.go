@@ -49,8 +49,9 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("poolbench", flag.ContinueOnError)
+	experiments := harness.Experiments()
 	var names, csvNames []string
-	for _, e := range harness.Experiments() {
+	for _, e := range experiments {
 		names = append(names, e.Name)
 		if e.CSV {
 			csvNames = append(csvNames, e.Name)
@@ -81,7 +82,7 @@ func run(args []string, out io.Writer) error {
 
 	want := strings.ToLower(*exp)
 	ran := false
-	for _, e := range harness.Experiments() {
+	for _, e := range experiments {
 		if want != "all" && want != e.Name {
 			continue
 		}
