@@ -6,7 +6,7 @@ GO ?= go
 # (baseline was 87.9% when the gate was introduced).
 COVER_FLOOR ?= 85.0
 
-.PHONY: build test race fuzz-smoke bench-smoke vet lint stress cover docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
+.PHONY: build test race fuzz-smoke bench-smoke vet lint stress cover docs-check bench-check bench-baseline perfbench-check trace-smoke introspect-smoke chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -174,4 +174,10 @@ chaos-smoke:
 	grep -q 'recovered ' chaos-smoke.out
 	rm -f chaos-smoke.out
 
-ci: build vet lint test race stress fuzz-smoke bench-smoke cover docs-check trace-smoke introspect-smoke chaos-smoke bench-check
+# The benchmark module (perfbench/) has its own go.mod, so `go test ./...`
+# at the root never compiles it. Vet and test it against the pool's
+# current API.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+ci: build vet lint test race stress fuzz-smoke bench-smoke cover docs-check trace-smoke introspect-smoke chaos-smoke bench-check perfbench-check

@@ -336,31 +336,34 @@ func (h *Handle[T]) Get() (T, bool) {
 	}
 
 	// Slow path: the engine's search-steal protocol, then the gift races.
-	searchStart := h.now()
+	// Each exit reads the clock once for both the stats and the controller.
 	res := h.eng.Search(1)
 	g, gotGift, stole := h.resolveSearch(res)
 	if !stole {
 		if gotGift {
 			v = g.first()
 			h.parkLocal(g.rest())
+			elapsed := h.since(start)
 			if p.opts.CollectStats {
 				h.stats.DirectedReceives += int64(g.count())
-				h.stats.RecordStealRemove(h.since(start), h.since(searchStart), res.Examined, g.count())
+				h.stats.RecordStealRemove(elapsed, res.Examined, g.count())
 			}
-			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count(), Elapsed: h.since(start)})
+			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count(), Elapsed: elapsed})
 			return v, true
 		}
+		elapsed := h.since(start)
 		if p.opts.CollectStats {
-			h.stats.RecordAbort(h.since(start))
+			h.stats.RecordAbort(elapsed)
 		}
-		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: elapsed})
 		return zero, false
 	}
 	v = h.sub.takeReserved()
+	elapsed := h.since(start)
 	if p.opts.CollectStats {
-		h.stats.RecordStealRemove(h.since(start), h.since(searchStart), res.Examined, res.Got)
+		h.stats.RecordStealRemove(elapsed, res.Examined, res.Got)
 	}
-	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: h.since(start)})
+	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: elapsed})
 	return v, true
 }
 
@@ -443,7 +446,6 @@ func (h *Handle[T]) GetN(max int) []T {
 	}
 
 	// Slow path: search and steal, exactly as Get.
-	searchStart := h.now()
 	res := h.eng.Search(max)
 	g, gotGift, stole := h.resolveSearch(res)
 	if !stole {
@@ -456,17 +458,19 @@ func (h *Handle[T]) GetN(max int) []T {
 				out = g.batch[:max]
 				h.parkLocal(g.batch[max:])
 			}
+			elapsed := h.since(start)
 			if p.opts.CollectStats {
 				h.stats.DirectedReceives += int64(g.count())
-				h.stats.RecordBatchStealRemove(h.since(start), h.since(searchStart), res.Examined, g.count(), len(out))
+				h.stats.RecordBatchStealRemove(elapsed, res.Examined, g.count(), len(out))
 			}
-			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count(), Elapsed: h.since(start)})
+			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count(), Elapsed: elapsed})
 			return out
 		}
+		elapsed := h.since(start)
 		if p.opts.CollectStats {
-			h.stats.RecordAbort(h.since(start))
+			h.stats.RecordAbort(elapsed)
 		}
-		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: elapsed})
 		return nil
 	}
 	// The steal moved res.Got elements into the local segment and reserved
@@ -476,10 +480,11 @@ func (h *Handle[T]) GetN(max int) []T {
 	if max > 1 {
 		out = append(out, s.dq.PopBottomN(max-1)...)
 	}
+	elapsed := h.since(start)
 	if p.opts.CollectStats {
-		h.stats.RecordBatchStealRemove(h.since(start), h.since(searchStart), res.Examined, res.Got, len(out))
+		h.stats.RecordBatchStealRemove(elapsed, res.Examined, res.Got, len(out))
 	}
-	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: h.since(start)})
+	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: elapsed})
 	return out
 }
 

@@ -40,7 +40,7 @@ func TestThreeRingEscalationOrder(t *testing.T) {
 	}
 	st := h.Stats()
 	if st.Steals != 1 || st.SegmentsExamined.Sum() != 4 {
-		t.Fatalf("first steal examined %.0f segments over %d steals, want 4 over 1 (board pass then cabinet)",
+		t.Fatalf("first steal examined %d segments over %d steals, want 4 over 1 (board pass then cabinet)",
 			st.SegmentsExamined.Sum(), st.Steals)
 	}
 
@@ -54,7 +54,7 @@ func TestThreeRingEscalationOrder(t *testing.T) {
 	}
 	st = h.Stats()
 	if st.Steals != 2 || st.SegmentsExamined.Sum() != 4+9 {
-		t.Fatalf("second steal brought examined to %.0f over %d steals, want 13 over 2 (board, cabinet lap, far ring)",
+		t.Fatalf("second steal brought examined to %d over %d steals, want 13 over 2 (board, cabinet lap, far ring)",
 			st.SegmentsExamined.Sum(), st.Steals)
 	}
 }

@@ -32,7 +32,7 @@ import (
 // statsFingerprint renders the deterministic PoolStats fields (timing
 // summaries are wall-clock on the real pool and therefore excluded).
 func statsFingerprint(s metrics.PoolStats) string {
-	return fmt.Sprintf("adds=%d removes=%d local=%d steals=%d aborts=%d examined=%.0f stolen=%.0f remote=%d cross=%d gives=%d recvs=%d batchAdds=%d batchRemoves=%d",
+	return fmt.Sprintf("adds=%d removes=%d local=%d steals=%d aborts=%d examined=%d stolen=%d remote=%d cross=%d gives=%d recvs=%d batchAdds=%d batchRemoves=%d",
 		s.Adds, s.Removes, s.LocalRemoves, s.Steals, s.Aborts,
 		s.SegmentsExamined.Sum(), s.ElementsStolen.Sum(),
 		s.RemoteProbes, s.CrossProbes, s.DirectedGives, s.DirectedReceives,

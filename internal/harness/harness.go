@@ -9,6 +9,7 @@ package harness
 import (
 	"fmt"
 
+	"pools/internal/metrics"
 	"pools/internal/numa"
 	"pools/internal/rng"
 	"pools/internal/search"
@@ -87,25 +88,30 @@ func (c Config) average(x float64, run func(trialSeed uint64) sim.RunResult) Poi
 	n := float64(c.Trials)
 	for trial := 0; trial < c.Trials; trial++ {
 		res := run(rng.SubSeed(c.Seed, trial))
-		st := res.Stats
-		pt.AvgOpTime += st.AvgOpTime() / n
-		pt.PerElementTime += st.AvgTimePerElement() / n
-		pt.AvgAddTime += st.AddTime.Mean() / n
-		pt.AvgRemoveTime += st.RemoveTime.Mean() / n
-		pt.SegmentsExamined += st.SegmentsExamined.Mean() / n
-		pt.ElementsStolen += st.ElementsStolen.Mean() / n
-		pt.StealFraction += st.StealFraction() / n
-		// Per-operation rates: one batch PutAll/GetN is one operation,
-		// so these stay comparable between batched and single-element runs.
-		if ops := float64(st.OpCount()); ops > 0 {
-			pt.StealsPerOp += float64(st.Steals) / ops / n
-			pt.AbortsPerOp += float64(st.Aborts) / ops / n
-		}
-		pt.MixAchieved += st.MixAchieved() / n
+		pt.addTrial(&res.Stats, n)
 		pt.MakespanMean += float64(res.Makespan) / n
-		pt.CrossProbeFrac += st.CrossProbeFraction() / n
 	}
 	return pt
+}
+
+// addTrial folds one trial's stats into the point as a 1/n share of each
+// averaged measurement.
+func (pt *Point) addTrial(st *metrics.PoolStats, n float64) {
+	pt.AvgOpTime += st.AvgOpTime() / n
+	pt.PerElementTime += st.AvgTimePerElement() / n
+	pt.AvgAddTime += st.AddTime.Mean() / n
+	pt.AvgRemoveTime += st.RemoveTime.Mean() / n
+	pt.SegmentsExamined += st.SegmentsExamined.Mean() / n
+	pt.ElementsStolen += st.ElementsStolen.Mean() / n
+	pt.StealFraction += st.StealFraction() / n
+	// Per-operation rates: one batch PutAll/GetN is one operation,
+	// so these stay comparable between batched and single-element runs.
+	if ops := float64(st.OpCount()); ops > 0 {
+		pt.StealsPerOp += float64(st.Steals) / ops / n
+		pt.AbortsPerOp += float64(st.Aborts) / ops / n
+	}
+	pt.MixAchieved += st.MixAchieved() / n
+	pt.CrossProbeFrac += st.CrossProbeFraction() / n
 }
 
 // runRandom executes one random-ops trial.

@@ -321,15 +321,7 @@ func RealCompare(wl workload.Config, trials int, seed uint64) (map[search.Kind]P
 			if err != nil {
 				return nil, err
 			}
-			st := res.Stats
-			pt.AvgOpTime += st.AvgOpTime() / n
-			pt.SegmentsExamined += st.SegmentsExamined.Mean() / n
-			pt.ElementsStolen += st.ElementsStolen.Mean() / n
-			pt.StealFraction += st.StealFraction() / n
-			if ops := float64(st.OpCount()); ops > 0 {
-				pt.StealsPerOp += float64(st.Steals) / ops / n
-			}
-			pt.MixAchieved += st.MixAchieved() / n
+			pt.addTrial(&res.Stats, n)
 		}
 		pt.X = float64(kind)
 		out[kind] = pt

@@ -80,8 +80,11 @@ func TestRealRunStealOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Steals > 0 && res.Stats.ElementsStolen.Max() > 1 {
-		t.Fatalf("steal-one moved %v elements in one steal", res.Stats.ElementsStolen.Max())
+	// Every successful steal or gift obtains at least one element, so the
+	// stolen total equals the steal count exactly when none obtained more
+	// than one.
+	if st := res.Stats.ElementsStolen; st.Sum() != st.N() {
+		t.Fatalf("steal-one moved %d elements in %d steals", st.Sum(), st.N())
 	}
 }
 

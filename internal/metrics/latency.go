@@ -68,6 +68,9 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 // N returns the number of recorded observations.
 func (h *LatencyHist) N() int64 { return atomic.LoadInt64(&h.n) }
 
+// Sum returns the total of all recorded observations.
+func (h *LatencyHist) Sum() int64 { return atomic.LoadInt64(&h.sum) }
+
 // Mean returns the arithmetic mean of recorded values, or 0 when empty.
 func (h *LatencyHist) Mean() float64 {
 	n := atomic.LoadInt64(&h.n)

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives used by the
-// experiment harness: streaming summaries (Welford), counters, log-bucket
-// histograms, and timestamped traces.
+// experiment harness: exact count-and-sum summaries, counters, the
+// log-bucket latency histogram, and timestamped traces.
 //
 // The paper reports, for every workload: average operation time, segments
 // examined per steal, elements stolen per steal, the fraction of removes
@@ -10,171 +10,42 @@
 // same way.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "sort"
 
-// Summary accumulates a streaming mean and variance using Welford's
-// algorithm, plus min and max. The zero value is an empty summary.
+// Summary accumulates a count and an exact integer sum, the two numbers
+// behind every mean the paper reports. The zero value is an empty summary.
 type Summary struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
+	n   int64
+	sum int64
 }
 
 // Add folds a new observation into the summary.
-func (s *Summary) Add(x float64) {
+func (s *Summary) Add(x int64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.sum += x
 }
 
 // Merge folds another summary into s, as if every observation of o had been
-// added to s. Uses Chan et al.'s parallel combination formula.
+// added to s.
 func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += delta * float64(o.n) / float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
+	s.n += o.n
+	s.sum += o.sum
 }
 
 // N returns the number of observations.
 func (s *Summary) N() int64 { return s.n }
 
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the (population) variance, or 0 with fewer than two samples.
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// Std returns the population standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
-
 // Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
+func (s *Summary) Sum() int64 { return s.sum }
 
-// String renders "mean ± std (n=N)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.2f ± %.2f (n=%d)", s.Mean(), s.Std(), s.n)
-}
-
-// Histogram is a base-2 log-bucket histogram of non-negative int64 values.
-// Bucket i counts values v with 2^(i-1) <= v < 2^i (bucket 0 counts v == 0).
-// The zero value is ready to use.
-type Histogram struct {
-	buckets [65]int64
-	n       int64
-	sum     int64
-}
-
-// Add records one observation. Negative values are clamped to zero.
-func (h *Histogram) Add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.n++
-	h.sum += v
-	h.buckets[bucketOf(v)]++
-}
-
-func bucketOf(v int64) int {
-	if v == 0 {
+// Mean returns the arithmetic mean, or 0 for an empty summary. It divides
+// the exact sum by the count, so it does not depend on the order in which
+// observations were added or merged.
+func (s *Summary) Mean() float64 {
+	if s.n == 0 {
 		return 0
 	}
-	b := 1
-	for x := uint64(v); x > 1; x >>= 1 {
-		b++
-	}
-	return b
-}
-
-// Merge folds another histogram into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the arithmetic mean of recorded values.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) using
-// bucket upper edges; it is exact to within a factor of two.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(h.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, c := range h.buckets {
-		seen += c
-		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			return int64(1)<<uint(i) - 1
-		}
-	}
-	return math.MaxInt64
+	return float64(s.sum) / float64(s.n)
 }
 
 // TracePoint is one sample in a timestamped series: the size of a segment

@@ -12,67 +12,65 @@ func almostEqual(a, b, eps float64) bool {
 }
 
 func TestSummaryAgainstNaive(t *testing.T) {
-	data := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8.5, -2, 0}
+	data := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, -2, 0}
 	var s Summary
-	sum := 0.0
+	var sum int64
 	for _, x := range data {
 		s.Add(x)
 		sum += x
 	}
-	mean := sum / float64(len(data))
-	varSum := 0.0
-	for _, x := range data {
-		varSum += (x - mean) * (x - mean)
-	}
-	wantVar := varSum / float64(len(data))
+	mean := float64(sum) / float64(len(data))
 
 	if s.N() != int64(len(data)) {
 		t.Fatalf("N = %d, want %d", s.N(), len(data))
 	}
-	if !almostEqual(s.Mean(), mean, 1e-12) {
+	if s.Mean() != mean {
 		t.Errorf("Mean = %v, want %v", s.Mean(), mean)
 	}
-	if !almostEqual(s.Var(), wantVar, 1e-12) {
-		t.Errorf("Var = %v, want %v", s.Var(), wantVar)
+	if s.Sum() != sum {
+		t.Errorf("Sum = %d, want %d", s.Sum(), sum)
 	}
-	if s.Min() != -2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want -2/9", s.Min(), s.Max())
+}
+
+// TestSummaryExactMean pins the mean to the exact sum divided by the
+// count. 53 followed by nineteen 52s totals 1041 over 20 observations, a
+// decimal tie at 52.05 (the fig7 balanced 12-producer cell). A running
+// (Welford) mean of this sequence lands one ULP above 1041.0/20 and rounds
+// that cell to 52.1 instead of 52.0.
+func TestSummaryExactMean(t *testing.T) {
+	var s Summary
+	s.Add(53)
+	for i := 0; i < 19; i++ {
+		s.Add(52)
 	}
-	if !almostEqual(s.Sum(), sum, 1e-12) {
-		t.Errorf("Sum = %v, want %v", s.Sum(), sum)
+	if s.N() != 20 || s.Sum() != 1041 {
+		t.Fatalf("N, Sum = %d, %d; want 20, 1041", s.N(), s.Sum())
+	}
+	if got, want := s.Mean(), 1041.0/20; got != want {
+		t.Fatalf("Mean = %.17g, want %.17g", got, want)
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.Sum() != 0 || s.N() != 0 {
 		t.Fatal("empty summary should report zeros")
 	}
 }
 
 func TestSummaryMergeMatchesSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
+	f := func(a, b []int32) bool {
 		var merged, left, right Summary
 		for _, x := range a {
-			x = math.Mod(x, 1e6) // keep magnitudes sane
-			if math.IsNaN(x) {
-				x = 0
-			}
-			left.Add(x)
-			merged.Add(x)
+			left.Add(int64(x))
+			merged.Add(int64(x))
 		}
 		for _, x := range b {
-			x = math.Mod(x, 1e6)
-			if math.IsNaN(x) {
-				x = 0
-			}
-			right.Add(x)
-			merged.Add(x)
+			right.Add(int64(x))
+			merged.Add(int64(x))
 		}
 		left.Merge(right)
-		return left.N() == merged.N() &&
-			almostEqual(left.Mean(), merged.Mean(), 1e-9) &&
-			almostEqual(left.Var(), merged.Var(), 1e-6)
+		return left == merged && left.Mean() == merged.Mean()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -91,69 +89,6 @@ func TestSummaryMergeEmptySides(t *testing.T) {
 	a.Merge(c) // non-empty <- empty
 	if a.N() != 2 || a.Mean() != 6 {
 		t.Fatalf("merge of empty changed state: n=%d mean=%v", a.N(), a.Mean())
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	cases := []struct {
-		v      int64
-		bucket int
-	}{
-		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4}, {1023, 10}, {1024, 11},
-	}
-	for _, c := range cases {
-		if got := bucketOf(c.v); got != c.bucket {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.bucket)
-		}
-	}
-}
-
-func TestHistogramMeanAndQuantile(t *testing.T) {
-	var h Histogram
-	for i := int64(1); i <= 100; i++ {
-		h.Add(i)
-	}
-	if h.N() != 100 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if !almostEqual(h.Mean(), 50.5, 1e-12) {
-		t.Errorf("Mean = %v, want 50.5", h.Mean())
-	}
-	// Median of 1..100 is ~50; the bucket upper bound containing rank 50 is 63.
-	if q := h.Quantile(0.5); q != 63 {
-		t.Errorf("Quantile(0.5) = %d, want 63", q)
-	}
-	if q := h.Quantile(0); q != 0 {
-		// rank clamps to 1 -> value 1 lives in bucket 1 (upper bound 1)
-		if q != 1 {
-			t.Errorf("Quantile(0) = %d, want 1", q)
-		}
-	}
-	if q := h.Quantile(1); q != 127 {
-		t.Errorf("Quantile(1) = %d, want 127", q)
-	}
-}
-
-func TestHistogramNegativeClamped(t *testing.T) {
-	var h Histogram
-	h.Add(-5)
-	if h.Mean() != 0 || h.N() != 1 {
-		t.Fatalf("negative not clamped: mean=%v n=%d", h.Mean(), h.N())
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := int64(0); i < 50; i++ {
-		a.Add(i)
-		b.Add(i + 50)
-	}
-	a.Merge(&b)
-	if a.N() != 100 {
-		t.Fatalf("merged N = %d", a.N())
-	}
-	if !almostEqual(a.Mean(), 49.5, 1e-12) {
-		t.Errorf("merged Mean = %v, want 49.5", a.Mean())
 	}
 }
 
@@ -211,7 +146,7 @@ func TestPoolStatsAccounting(t *testing.T) {
 	s.RecordAdd(70)
 	s.RecordAdd(90)
 	s.RecordLocalRemove(110)
-	s.RecordStealRemove(500, 390, 3, 10)
+	s.RecordStealRemove(500, 3, 10)
 	s.RecordAbort(30)
 
 	if s.Adds != 2 || s.Removes != 2 || s.LocalRemoves != 1 || s.Steals != 1 || s.Aborts != 1 {
@@ -238,15 +173,53 @@ func TestPoolStatsAccounting(t *testing.T) {
 func TestPoolStatsMerge(t *testing.T) {
 	var a, b PoolStats
 	a.RecordAdd(10)
+	a.RecordBatchAdd(25, 4)
+	a.RecordStealRemove(33, 3, 2)
 	b.RecordLocalRemove(20)
-	b.RecordStealRemove(30, 15, 2, 4)
+	b.RecordStealRemove(30, 2, 4)
+	b.RecordBatchLocalRemove(12, 3)
+	b.RecordBatchStealRemove(41, 5, 6, 4)
 	b.RecordAbort(10)
 	a.Merge(&b)
-	if a.Adds != 1 || a.Removes != 2 || a.Steals != 1 || a.Aborts != 1 {
+	if a.Adds != 5 || a.Removes != 10 || a.LocalRemoves != 4 || a.Steals != 3 || a.Aborts != 1 ||
+		a.BatchAdds != 1 || a.BatchRemoves != 2 {
 		t.Fatalf("merged counts wrong: %+v", a)
 	}
-	if a.Ops() != 3 {
+	if a.Ops() != 15 {
 		t.Fatalf("merged Ops = %d", a.Ops())
+	}
+
+	// Per-kind means are the exact merged sum over the merged count.
+	for _, c := range []struct {
+		name   string
+		s      Summary
+		n, sum int64
+	}{
+		{"AddTime", a.AddTime, 2, 10 + 25},
+		{"RemoveTime", a.RemoveTime, 5, 33 + 20 + 30 + 12 + 41},
+		{"SegmentsExamined", a.SegmentsExamined, 3, 3 + 2 + 5},
+		{"ElementsStolen", a.ElementsStolen, 3, 2 + 4 + 6},
+	} {
+		if c.s.N() != c.n || c.s.Sum() != c.sum || c.s.Mean() != float64(c.sum)/float64(c.n) {
+			t.Errorf("%s: n=%d sum=%d mean=%v, want n=%d sum=%d mean=%v",
+				c.name, c.s.N(), c.s.Sum(), c.s.Mean(), c.n, c.sum, float64(c.sum)/float64(c.n))
+		}
+	}
+
+	// OpCount, AvgOpTime and AvgTimePerElement read OpLat, which holds
+	// every operation once: they must agree with the per-kind summaries
+	// plus the one abort.
+	const abortTime = 10
+	ops := a.AddTime.N() + a.RemoveTime.N() + a.Aborts
+	total := a.AddTime.Sum() + a.RemoveTime.Sum() + abortTime
+	if a.OpCount() != ops || a.OpLat.Sum() != total {
+		t.Errorf("OpCount=%d OpLat.Sum=%d, want %d and %d", a.OpCount(), a.OpLat.Sum(), ops, total)
+	}
+	if got, want := a.AvgOpTime(), float64(total)/float64(ops); got != want {
+		t.Errorf("AvgOpTime = %v, want %v", got, want)
+	}
+	if got, want := a.AvgTimePerElement(), float64(total)/float64(a.Adds+a.Removes+a.Aborts); got != want {
+		t.Errorf("AvgTimePerElement = %v, want %v", got, want)
 	}
 }
 
@@ -267,7 +240,7 @@ func TestPoolStatsSummary(t *testing.T) {
 	var s PoolStats
 	s.RecordAdd(10)
 	s.RecordLocalRemove(20)
-	s.RecordStealRemove(30, 15, 2, 4)
+	s.RecordStealRemove(30, 2, 4)
 	s.RecordAbort(40)
 	s.RecordStealVictim(true)
 	s.RecordStealVictim(false)

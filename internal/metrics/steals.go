@@ -30,10 +30,10 @@ func (k OpKind) String() string {
 // concurrent collectors keep one PoolStats per processor and Merge at the
 // end of the run.
 type PoolStats struct {
+	// Per-operation summaries (count and exact sum). Aborted removes
+	// appear only in OpLat, which holds every operation.
 	AddTime    Summary // duration of add operations (µs, virtual or real)
-	RemoveTime Summary // duration of remove operations, including searches
-	StealTime  Summary // duration of the search+steal portion of removes
-	AbortTime  Summary // duration of removes aborted by the livelock rule
+	RemoveTime Summary // duration of completed removes, including searches
 
 	SegmentsExamined Summary // segments probed per steal
 	ElementsStolen   Summary // elements obtained per successful steal
@@ -72,10 +72,12 @@ type PoolStats struct {
 	ForeignSteals int64 // classified steals whose victim belonged to another tenant
 
 	// OpLat is the per-operation latency histogram: one observation per
-	// completed operation (adds, removes — local, stolen, batch — and
-	// aborts), recorded with the operation's duration in µs (virtual or
-	// wall-clock). Recording is three atomic adds, so it stays on the
-	// 0-alloc hot path; percentiles are read at report time, after Merge.
+	// operation (adds, removes — local, stolen, batch — and aborts),
+	// recorded with the operation's duration in µs (virtual or
+	// wall-clock). OpCount, AvgOpTime and AvgTimePerElement read its
+	// count and exact sum. Recording is three atomic adds, so it stays on
+	// the 0-alloc hot path; percentiles are read at report time, after
+	// Merge.
 	OpLat LatencyHist
 }
 
@@ -102,7 +104,7 @@ func (s *PoolStats) CrossProbeFraction() float64 {
 // RecordAdd records one completed add and its duration.
 func (s *PoolStats) RecordAdd(d int64) {
 	s.Adds++
-	s.AddTime.Add(float64(d))
+	s.AddTime.Add(d)
 	s.OpLat.Record(d)
 }
 
@@ -110,19 +112,18 @@ func (s *PoolStats) RecordAdd(d int64) {
 func (s *PoolStats) RecordLocalRemove(d int64) {
 	s.Removes++
 	s.LocalRemoves++
-	s.RemoveTime.Add(float64(d))
+	s.RemoveTime.Add(d)
 	s.OpLat.Record(d)
 }
 
-// RecordStealRemove records a remove that needed a steal: total duration d,
-// steal portion sd, number of segments examined, and elements obtained.
-func (s *PoolStats) RecordStealRemove(d, sd int64, examined, stolen int) {
+// RecordStealRemove records a remove that needed a steal: duration d,
+// number of segments examined, and elements obtained.
+func (s *PoolStats) RecordStealRemove(d int64, examined, stolen int) {
 	s.Removes++
 	s.Steals++
-	s.RemoveTime.Add(float64(d))
-	s.StealTime.Add(float64(sd))
-	s.SegmentsExamined.Add(float64(examined))
-	s.ElementsStolen.Add(float64(stolen))
+	s.RemoveTime.Add(d)
+	s.SegmentsExamined.Add(int64(examined))
+	s.ElementsStolen.Add(int64(stolen))
 	s.OpLat.Record(d)
 }
 
@@ -130,7 +131,7 @@ func (s *PoolStats) RecordStealRemove(d, sd int64, examined, stolen int) {
 func (s *PoolStats) RecordBatchAdd(d int64, n int) {
 	s.BatchAdds++
 	s.Adds += int64(n)
-	s.AddTime.Add(float64(d))
+	s.AddTime.Add(d)
 	s.OpLat.Record(d)
 }
 
@@ -140,21 +141,20 @@ func (s *PoolStats) RecordBatchLocalRemove(d int64, n int) {
 	s.BatchRemoves++
 	s.Removes += int64(n)
 	s.LocalRemoves += int64(n)
-	s.RemoveTime.Add(float64(d))
+	s.RemoveTime.Add(d)
 	s.OpLat.Record(d)
 }
 
-// RecordBatchStealRemove records one GetN that needed a steal: total
-// duration d, steal portion sd, segments examined, elements transferred by
-// the steal, and n elements returned to the caller.
-func (s *PoolStats) RecordBatchStealRemove(d, sd int64, examined, stolen, n int) {
+// RecordBatchStealRemove records one GetN that needed a steal: duration
+// d, segments examined, elements transferred by the steal, and n elements
+// returned to the caller.
+func (s *PoolStats) RecordBatchStealRemove(d int64, examined, stolen, n int) {
 	s.BatchRemoves++
 	s.Removes += int64(n)
 	s.Steals++
-	s.RemoveTime.Add(float64(d))
-	s.StealTime.Add(float64(sd))
-	s.SegmentsExamined.Add(float64(examined))
-	s.ElementsStolen.Add(float64(stolen))
+	s.RemoveTime.Add(d)
+	s.SegmentsExamined.Add(int64(examined))
+	s.ElementsStolen.Add(int64(stolen))
 	s.OpLat.Record(d)
 }
 
@@ -163,7 +163,6 @@ func (s *PoolStats) RecordBatchStealRemove(d, sd int64, examined, stolen, n int)
 // the abort was detected.
 func (s *PoolStats) RecordAbort(d int64) {
 	s.Aborts++
-	s.AbortTime.Add(float64(d))
 	s.OpLat.Record(d)
 }
 
@@ -182,8 +181,6 @@ func (s *PoolStats) RecordStealVictim(foreign bool) {
 func (s *PoolStats) Merge(o *PoolStats) {
 	s.AddTime.Merge(o.AddTime)
 	s.RemoveTime.Merge(o.RemoveTime)
-	s.StealTime.Merge(o.StealTime)
-	s.AbortTime.Merge(o.AbortTime)
 	s.SegmentsExamined.Merge(o.SegmentsExamined)
 	s.ElementsStolen.Merge(o.ElementsStolen)
 	s.Adds += o.Adds
@@ -214,21 +211,12 @@ func (s *PoolStats) Ops() int64 { return s.Adds + s.Removes }
 // aborted removes — counting one per call: a batch PutAll/GetN is one
 // operation however many elements it moves. Equals Ops()+Aborts under
 // single-element operations.
-func (s *PoolStats) OpCount() int64 {
-	return s.AddTime.N() + s.RemoveTime.N() + s.AbortTime.N()
-}
+func (s *PoolStats) OpCount() int64 { return s.OpLat.N() }
 
 // AvgOpTime returns the mean duration over all operations — adds,
 // removes, and aborted removes — the quantity plotted in the paper's
 // Figure 2.
-func (s *PoolStats) AvgOpTime() float64 {
-	total := s.AddTime.Sum() + s.RemoveTime.Sum() + s.AbortTime.Sum()
-	n := s.AddTime.N() + s.RemoveTime.N() + s.AbortTime.N()
-	if n == 0 {
-		return 0
-	}
-	return total / float64(n)
-}
+func (s *PoolStats) AvgOpTime() float64 { return s.OpLat.Mean() }
 
 // AvgTimePerElement returns the mean operation time divided across the
 // elements moved: total time over adds, removes, and aborts, per element
@@ -236,12 +224,11 @@ func (s *PoolStats) AvgOpTime() float64 {
 // under batch operations it is the amortized per-element cost the batch
 // API exists to lower.
 func (s *PoolStats) AvgTimePerElement() float64 {
-	total := s.AddTime.Sum() + s.RemoveTime.Sum() + s.AbortTime.Sum()
 	n := s.Adds + s.Removes + s.Aborts
 	if n == 0 {
 		return 0
 	}
-	return total / float64(n)
+	return float64(s.OpLat.Sum()) / float64(n)
 }
 
 // StealFraction returns the fraction of completed remove *operations*

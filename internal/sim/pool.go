@@ -403,7 +403,6 @@ func (pr *Proc[T]) GetN(max int) []T {
 		return out
 	}
 
-	searchStart := pr.env.Now()
 	res := pr.eng.Search(max)
 	if res.Got == 0 {
 		pr.stats.RecordAbort(pr.env.Now() - start)
@@ -416,7 +415,7 @@ func (pr *Proc[T]) GetN(max int) []T {
 		out = append(out, p.segs[pr.id].RemoveN(max-1)...)
 		p.recordTrace(pr.env, pr.id)
 	}
-	pr.stats.RecordBatchStealRemove(pr.env.Now()-start, pr.env.Now()-searchStart, res.Examined, res.Got, len(out))
+	pr.stats.RecordBatchStealRemove(pr.env.Now()-start, res.Examined, res.Got, len(out))
 	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: pr.env.Now() - start})
 	return out
 }
@@ -436,7 +435,6 @@ func (pr *Proc[T]) Get() (T, bool) {
 		return v, true
 	}
 
-	searchStart := pr.env.Now()
 	res := pr.eng.Search(1)
 	if res.Got == 0 {
 		pr.stats.RecordAbort(pr.env.Now() - start)
@@ -444,7 +442,7 @@ func (pr *Proc[T]) Get() (T, bool) {
 		return zero, false
 	}
 	v := pr.sub.takeReserved()
-	pr.stats.RecordStealRemove(pr.env.Now()-start, pr.env.Now()-searchStart, res.Examined, res.Got)
+	pr.stats.RecordStealRemove(pr.env.Now()-start, res.Examined, res.Got)
 	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: pr.env.Now() - start})
 	return v, true
 }
