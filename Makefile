@@ -50,6 +50,10 @@ race:
 # pattern and a smaller count: the churn suites once per shape, and the
 # time-to-terminate bound once overall, since it sweeps its own
 # GOMAXPROCS shapes (1, nproc, 4×nproc).
+#
+# The sim leg runs concurrent simulations and the golden runs three times
+# per shape, so Runs on different goroutines share the simulator's idle
+# list of coroutines under the race detector.
 STRESS_COUNT ?= 20
 STRESS_PROCS ?= 2 8 32
 STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback|NoFalseEmpty
@@ -59,6 +63,7 @@ stress:
 		echo "== stress: GOMAXPROCS=$$procs -race -count=$(STRESS_COUNT) =="; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run '$(STRESS_RUN)' ./internal/segment ./internal/core || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=3 -run 'RealRunChurn' ./internal/harness || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=3 -run 'Concurrent|Golden' ./internal/sim || exit 1; \
 	done
 	$(GO) test -race -count=3 -run 'RealRunTerminates' ./internal/harness
 

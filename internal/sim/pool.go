@@ -92,19 +92,12 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 		leaves:       leaves,
 		segs:         make([]segment.Deque[T], cfg.Procs),
 		segRes:       make([]Resource, cfg.Procs),
-		counter:      Resource{Name: "lookers"},
 		participants: cfg.Procs,
 		members:      engine.NewMembership(cfg.Procs),
-	}
-	for i := range p.segRes {
-		p.segRes[i].Name = fmt.Sprintf("segment-%d", i)
 	}
 	if cfg.Search == search.Tree || policy.KindOf(pol.Order) == search.Tree {
 		p.rounds = make([]uint64, 2*leaves)
 		p.nodeRes = make([]Resource, 2*leaves)
-		for i := range p.nodeRes {
-			p.nodeRes[i].Name = fmt.Sprintf("tree-node-%d", i)
-		}
 	}
 	if cfg.Trace {
 		p.traces = make([]metrics.Trace, cfg.Procs)

@@ -166,7 +166,7 @@ func Run(cfg RunConfig) RunResult {
 	// combined total number of operations reached the desired amount"):
 	// claiming an operation charges a remote shared access.
 	budget := wl.TotalOps
-	budgetRes := Resource{Name: "op-budget"}
+	var budgetRes Resource
 	procs := make([]*Proc[Token], wl.Procs)
 	var controls []ControllerTrace
 	if cfg.ControlTrace {
