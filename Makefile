@@ -44,7 +44,9 @@ race:
 # at several GOMAXPROCS shapes. The shape sweep matters more than the
 # core count of the machine running it: GOMAXPROCS above the physical
 # cores forces preemption inside the lock-free owner/thief windows that
-# a matched count rarely interleaves.
+# a matched count rarely interleaves. The SampledStats term races the
+# per-handle timing-stride counters of stats-on pools, whose counts must
+# stay exact.
 #
 # The harness leg runs whole RealRun trials, so it takes a narrower
 # pattern and a smaller count: the churn suites once per shape, and the
@@ -56,7 +58,7 @@ race:
 # list of coroutines under the race detector.
 STRESS_COUNT ?= 20
 STRESS_PROCS ?= 2 8 32
-STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback|NoFalseEmpty
+STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback|NoFalseEmpty|SampledStats
 
 stress:
 	@for procs in $(STRESS_PROCS); do \

@@ -201,9 +201,10 @@ func BenchmarkGetHotPathTraced(b *testing.B) {
 
 // BenchmarkGetHotPathHist measures the same stats-on fast path while
 // confirming the per-op latency histogram is populated: identical loop to
-// BenchmarkGetHotPath, so any gap between the two is the histogram's
-// recording cost (three atomic adds — and still 0 allocs/op; percentile
-// math happens only at report time, outside the loop).
+// BenchmarkGetHotPath. A handle times one local Put and one local Get in
+// 64 (the first of each included, so even -benchtime=1x records), and a
+// timed op's histogram record is three atomic adds — still 0 allocs/op;
+// percentile math happens only at report time, outside the loop.
 func BenchmarkGetHotPathHist(b *testing.B) {
 	p, err := pools.New[int](pools.Options{
 		Segments: 8, CollectStats: true, Topology: pools.ClusterTopology{Size: 2},

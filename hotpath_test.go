@@ -52,10 +52,11 @@ func TestHotPathAllocFree(t *testing.T) {
 		hs.Put(1)
 		hs.Get()
 	})
-	// Every stats-on operation also lands in the per-op latency histogram
-	// (three atomic adds into a fixed bucket array — covered by the 0
-	// allocs/op assertion above); confirm the recordings are visible on
-	// the merged pool stats.
+	// The timed stats-on operations — one local Put and one local Get in
+	// 64 per handle, the first of each included — also land in the per-op
+	// latency histogram (three atomic adds into a fixed bucket array,
+	// covered by the 0 allocs/op assertion above); confirm the recordings
+	// are visible on the merged pool stats.
 	if st := ps.Stats(); st.OpLat.N() == 0 {
 		t.Error("stats-on pool recorded no per-op latencies")
 	}

@@ -44,6 +44,12 @@ type Handle[T any] struct {
 	stats    metrics.PoolStats
 	tr       *trace.Recorder // flight recorder (nil unless Options.TraceBuf > 0)
 	state    atomic.Int32    // hsIdle | hsOpen | hsClosed; atomic so Pool.Kill can close externally
+
+	// Local fast-path adds and removes so far, counted only with stats
+	// on: the stride counters that pick which of them are timed (see
+	// weight). They wrap at 256, a multiple of the stride, and fit in the
+	// padding after state.
+	localAdds, localRemoves uint8
 }
 
 // ID returns the handle's segment index.
@@ -152,12 +158,33 @@ func (h *Handle[T]) now() int64 {
 }
 
 // since returns elapsed µs since a now() stamp (0 when stats are
-// disabled).
+// disabled or the operation is not timed).
 func (h *Handle[T]) since(start int64) int64 {
 	if start < 0 {
 		return 0
 	}
 	return (int64(time.Since(h.pool.base)) - start) / 1000
+}
+
+// weight returns the weight a local fast-path operation records when its
+// stride counter reads n: the stride for the operation that opens each
+// stride (the first one included), which is timed and stands for the
+// whole stride, and 0 for the rest, which are counted but not timed.
+// With stats off it returns 0.
+func (h *Handle[T]) weight(n uint8) int64 {
+	p := h.pool
+	if !p.opts.CollectStats || n&p.sampleMask != 0 {
+		return 0
+	}
+	return int64(p.sampleMask) + 1
+}
+
+// startIf returns a now() stamp when timed, -1 otherwise.
+func (h *Handle[T]) startIf(timed bool) int64 {
+	if !timed {
+		return -1
+	}
+	return h.now()
 }
 
 // Put adds an element to the pool: into a hungry searcher's mailbox when
@@ -168,12 +195,15 @@ func (h *Handle[T]) since(start int64) int64 {
 func (h *Handle[T]) Put(v T) {
 	h.Register()
 	p := h.pool
-	start := h.now()
+	// A local add is timed once per stride; under a gifting or Director
+	// placement every add is, since it may land elsewhere.
+	w := h.weight(h.localAdds)
+	start := h.startIf(w > 0 || p.boxes != nil)
 	if p.boxes != nil && p.giftOut(h.id, []T{v}) == 1 {
 		p.published()
 		if p.opts.CollectStats {
 			h.stats.DirectedGives++
-			h.stats.RecordAdd(h.since(start))
+			h.stats.RecordAdd(h.since(start), 1)
 		}
 		if h.tr != nil {
 			h.tr.Record(trace.GiftSend, -1, 1)
@@ -181,19 +211,30 @@ func (h *Handle[T]) Put(v T) {
 		return
 	}
 	target := p.placeTarget(h.eng.DirectTarget(1))
+	local := target == h.id
+	if !local {
+		// A Director placement aimed elsewhere, or a drain-killed local
+		// segment: timed on every call, from here if the stride skipped it.
+		w = 1
+		if start < 0 {
+			start = h.now()
+		}
+	}
 	p.opts.Delay.Delay(numa.AccessAdd, h.id, target)
-	if target == h.id {
+	if local {
 		// The owner's lock-free bottom: no lock on the local add path.
 		p.segs[target].dq.PushBottom(v)
 	} else {
-		// A Director placement aimed elsewhere: only the owner may touch
-		// a segment's bottom, so the add goes through the target's
-		// lock-guarded foreign overflow.
+		// Only the owner may touch a segment's bottom, so the add goes
+		// through the target's lock-guarded foreign overflow.
 		p.segs[target].dq.AddForeign(v)
 	}
 	p.published()
 	if p.opts.CollectStats {
-		h.stats.RecordAdd(h.since(start))
+		if local {
+			h.localAdds++
+		}
+		h.stats.RecordAdd(h.since(start), w)
 	}
 }
 
@@ -284,7 +325,7 @@ func (h *Handle[T]) TryPut(v T) bool {
 		if placed {
 			p.published()
 			if p.opts.CollectStats {
-				h.stats.RecordAdd(h.since(start))
+				h.stats.RecordAdd(h.since(start), 1)
 			}
 			return true
 		}
@@ -297,11 +338,13 @@ func (h *Handle[T]) TryPut(v T) bool {
 func (h *Handle[T]) TryGetLocal() (T, bool) {
 	h.Register()
 	p := h.pool
-	start := h.now()
+	w := h.weight(h.localRemoves)
+	start := h.startIf(w > 0)
 	p.opts.Delay.Delay(numa.AccessRemove, h.id, h.id)
 	v, ok := p.segs[h.id].dq.PopBottom()
 	if ok && p.opts.CollectStats {
-		h.stats.RecordLocalRemove(h.since(start))
+		h.localRemoves++
+		h.stats.RecordLocalRemove(h.since(start), w)
 	}
 	return v, ok
 }
@@ -319,7 +362,8 @@ func (h *Handle[T]) Get() (T, bool) {
 		return zero, false
 	}
 	h.Register()
-	start := h.now()
+	w := h.weight(h.localRemoves)
+	start := h.startIf(w > 0)
 
 	// Fast path: the owner's lock-free bottom. Only a thief contending
 	// for the very last element can send this to the segment lock.
@@ -329,14 +373,21 @@ func (h *Handle[T]) Get() (T, bool) {
 		// One clock read serves both the stats and the controller.
 		elapsed := h.since(start)
 		if p.opts.CollectStats {
-			h.stats.RecordLocalRemove(elapsed)
+			h.localRemoves++
+			h.stats.RecordLocalRemove(elapsed, w)
 		}
 		h.observe(policy.Feedback{Got: 1, Elapsed: elapsed})
 		return v, true
 	}
 
 	// Slow path: the engine's search-steal protocol, then the gift races.
-	// Each exit reads the clock once for both the stats and the controller.
+	// It is timed on every call; when the local stride skipped the fast
+	// path, the clock starts here (the local probe it misses costs
+	// nanoseconds, below the µs resolution). Each exit reads the clock
+	// once for both the stats and the controller.
+	if start < 0 {
+		start = h.now()
+	}
 	res := h.eng.Search(1)
 	g, gotGift, stole := h.resolveSearch(res)
 	if !stole {

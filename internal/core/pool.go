@@ -81,8 +81,16 @@ type Options struct {
 	// the paper describes; the default uses lock-free atomic max, a modern
 	// equivalent measured as an ablation.
 	TreeLocking bool
-	// CollectStats enables per-operation timing and steal accounting
-	// (small overhead; required by the benchmarks and harness).
+	// CollectStats enables per-operation counts, timing and steal
+	// accounting (required by the benchmarks and harness). Every count
+	// is exact. To keep the clock off the owner's fast path, a handle
+	// times one local Put (one that lands in its own segment) in 64 and
+	// one local Get or TryGetLocal in 64, the first of each included,
+	// and records it with weight 64; every other operation — steals,
+	// gifts, aborts, foreign adds, TryPut walks, PutAll, GetN — is timed
+	// on each call. Under an active Delay every operation is timed. Time
+	// means and latency quantiles are therefore weighted estimates (see
+	// metrics.PoolStats).
 	CollectStats bool
 	// SegmentCap, when positive, bounds each segment for TryPut; Put
 	// ignores it. This implements the paper's footnote: "an add operation
@@ -97,6 +105,14 @@ type Options struct {
 	// only a nil check per emission site.
 	TraceBuf int
 }
+
+// sampleStride is how many local fast-path adds (and, separately, local
+// removes) a handle makes per timed one when stats are on and no delay is
+// injected. A clock read costs several times a local Put or Get, and at
+// µs resolution it reads 0 on nearly all of them. 64 matches the one-in-64
+// sampling of the repository benchmark; a power of two keeps the choice a
+// mask test.
+const sampleStride = 64
 
 // ErrBadOptions is returned by New for invalid configuration.
 var ErrBadOptions = errors.New("core: invalid options")
@@ -133,6 +149,11 @@ type Pool[T any] struct {
 	handles   []*Handle[T]
 	members   *engine.Membership // dynamic membership: alive/victim bits + the coverage epoch
 	base      time.Time          // monotonic time zero for op timing and the flight recorder
+	// sampleMask is the local fast-path timing stride less one: a handle
+	// times the local adds and removes whose stride counter has these
+	// bits clear. It is 0, timing every operation, under an active Delay,
+	// whose injected costs delay sweeps read exactly.
+	sampleMask uint8
 
 	lookers atomic.Int32 // registered handles currently inside a search
 	open    atomic.Int32 // handles registered and not yet closed
@@ -204,6 +225,9 @@ func New[T any](opts Options) (*Pool[T], error) {
 		leaves:  search.NumLeavesFor(opts.Segments),
 		members: engine.NewMembership(opts.Segments),
 		base:    time.Now(),
+	}
+	if opts.Delay.Scale == 0 {
+		p.sampleMask = sampleStride - 1
 	}
 	if opts.Search == search.Tree || policy.KindOf(pol.Order) == search.Tree {
 		p.nodes = make([]treeNode, 2*p.leaves)

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"pools/internal/core"
 	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
@@ -136,7 +139,26 @@ func TestRealRunBurstAdaptive(t *testing.T) {
 		TotalOps:        400,
 		InitialElements: 32,
 	}
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 9, Policies: set})
+	// Consumers hold their first operation until a producer's first batch
+	// has landed. Otherwise, with the producers descheduled, the consumers
+	// can drain the seed and spend the whole budget on aborts before any
+	// PutAll runs.
+	var pool *core.Pool[int]
+	var landed atomic.Bool
+	set.Control = &producerFirst{
+		Adaptive: set.Control.(*policy.Adaptive),
+		wl:       wl,
+		landed: func() bool {
+			if !landed.Load() && pool.Len() > wl.InitialElements {
+				landed.Store(true)
+			}
+			return landed.Load()
+		},
+	}
+	res, err := RealRun(RealRunConfig{
+		Workload: wl, Search: search.Linear, Seed: 9, Policies: set,
+		onPool: func(p *core.Pool[int]) { pool = p },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +171,33 @@ func TestRealRunBurstAdaptive(t *testing.T) {
 		t.Fatalf("conservation violated: removes=%d remaining=%d added=%d",
 			st.Removes, res.Remaining, total)
 	}
+}
+
+// producerFirst is the shared adaptive controller of a burst run, spawned
+// per handle so that a consumer's BatchSize, which the burst loop calls
+// before each operation, can wait until landed reports a producer batch
+// in the pool. Every controller call still goes to the one Adaptive.
+type producerFirst struct {
+	*policy.Adaptive
+	wl     workload.Config
+	landed func() bool
+}
+
+// Spawn implements policy.Spawner.
+func (g *producerFirst) Spawn(handle int) policy.Controller {
+	if g.wl.IsProducer(handle) {
+		return g.Adaptive
+	}
+	return consumerGate{g}
+}
+
+type consumerGate struct{ *producerFirst }
+
+func (c consumerGate) BatchSize(current int) int {
+	for !c.landed() {
+		runtime.Gosched()
+	}
+	return c.Adaptive.BatchSize(current)
 }
 
 // TestPolicySweepDeterministic re-runs the sweep with the same seed and

@@ -47,7 +47,7 @@ func (s *stubSource) Timeline(h int) trace.Timeline {
 
 func newStub() *stubSource {
 	s := &stubSource{}
-	s.st.RecordAdd(10)
+	s.st.RecordAdd(10, 1)
 	s.st.RecordStealRemove(40, 3, 2)
 	s.tls = []trace.Timeline{
 		{Handle: 0, Events: []trace.Event{
@@ -175,7 +175,7 @@ func TestConcurrentReads(t *testing.T) {
 			case <-tick.C:
 			}
 			stub.mu.Lock()
-			stub.st.RecordAdd(5)
+			stub.st.RecordAdd(5, 1)
 			if len(stub.tls[0].Events) < 1000 {
 				stub.tls[0].Events = append(stub.tls[0].Events,
 					trace.Event{TS: 100, Kind: trace.Feedback})

@@ -12,21 +12,27 @@ import (
 const LatBuckets = 40
 
 // LatencyHist is a fixed-size log-bucket latency histogram built for the
-// 0-alloc hot path: Record is three atomic adds into a flat array — no
+// 0-alloc hot path: a record is three atomic adds into a flat array — no
 // allocation, no lock, no interface call. Each handle owns one (embedded
 // in its metrics.PoolStats) and records into it privately; report-time
 // readers Merge per-handle histograms into a quiescent accumulator and
 // query percentiles there.
 //
-// Concurrency contract: Record may run concurrently with Merge, Quantile,
-// and other Records (all cross-goroutine access is atomic). Merge's
-// *receiver* must be quiescent — it is the report-side accumulator — and
-// a merge concurrent with recording yields a snapshot that may trail the
-// newest observation by one in-flight Record. The zero value is ready to
-// use.
+// A record carries a weight, the number of observations it stands for:
+// a sampled latency of weight k adds k to its bucket, to the count and,
+// multiplied by k, to the sum. N, Sum, Mean and the quantiles are then
+// weighted estimates over the observations the samples stand for; with
+// weight 1 everywhere (Record) they are exact.
+//
+// Concurrency contract: recording may run concurrently with Merge,
+// Quantile, and other records (all cross-goroutine access is atomic).
+// Merge's *receiver* must be quiescent — it is the report-side
+// accumulator — and a merge concurrent with recording yields a snapshot
+// that may trail the newest observation by one in-flight record. The zero
+// value is ready to use.
 type LatencyHist struct {
-	n       int64
-	sum     int64
+	n       int64 // weight total
+	sum     int64 // weighted sum
 	buckets [LatBuckets]int64
 }
 
@@ -44,14 +50,20 @@ func latBucketOf(v int64) int {
 }
 
 // Record folds one latency observation (µs, virtual or wall-clock) into
-// the histogram. Negative values clamp to zero. Record never allocates.
-func (h *LatencyHist) Record(v int64) {
+// the histogram with weight 1. Negative values clamp to zero. Record
+// never allocates.
+func (h *LatencyHist) Record(v int64) { h.RecordWeighted(v, 1) }
+
+// RecordWeighted folds one latency observation that stands for w
+// observations (a sample of one in w) into the histogram. Negative values
+// clamp to zero. It never allocates.
+func (h *LatencyHist) RecordWeighted(v, w int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.n, 1)
-	atomic.AddInt64(&h.sum, v)
-	atomic.AddInt64(&h.buckets[latBucketOf(v)], 1)
+	atomic.AddInt64(&h.n, w)
+	atomic.AddInt64(&h.sum, v*w)
+	atomic.AddInt64(&h.buckets[latBucketOf(v)], w)
 }
 
 // Merge folds another histogram into h, as if every observation of o had
@@ -65,13 +77,14 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 	}
 }
 
-// N returns the number of recorded observations.
+// N returns the number of recorded observations, each counted by its
+// weight.
 func (h *LatencyHist) N() int64 { return atomic.LoadInt64(&h.n) }
 
-// Sum returns the total of all recorded observations.
+// Sum returns the weighted total of all recorded observations.
 func (h *LatencyHist) Sum() int64 { return atomic.LoadInt64(&h.sum) }
 
-// Mean returns the arithmetic mean of recorded values, or 0 when empty.
+// Mean returns the weighted mean of recorded values, or 0 when empty.
 func (h *LatencyHist) Mean() float64 {
 	n := atomic.LoadInt64(&h.n)
 	if n == 0 {

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives used by the
-// experiment harness: exact count-and-sum summaries, counters, the
-// log-bucket latency histogram, and timestamped traces.
+// experiment harness: summaries with an exact count and a weighted sum,
+// counters, the log-bucket latency histogram, and timestamped traces.
 //
 // The paper reports, for every workload: average operation time, segments
 // examined per steal, elements stolen per steal, the fraction of removes
@@ -12,40 +12,58 @@ package metrics
 
 import "sort"
 
-// Summary accumulates a count and an exact integer sum, the two numbers
-// behind every mean the paper reports. The zero value is an empty summary.
+// Summary accumulates an exact count of observations and a weighted sum
+// of their values, the numbers behind every mean the paper reports. Each
+// observation carries an integer weight: the number of observations it
+// stands for. A sampled one of weight k stands for itself and the k-1
+// that were counted (AddWeighted with weight 0) but not measured, so N
+// stays exact while Mean and Sum are weighted estimates. With weight 1
+// everywhere — Add — the weight total equals N and every figure is exact.
+// The zero value is an empty summary.
 type Summary struct {
-	n   int64
-	sum int64
+	n   int64 // observations, weighted or not
+	w   int64 // weight total
+	sum int64 // weighted sum of the values
 }
 
-// Add folds a new observation into the summary.
-func (s *Summary) Add(x int64) {
+// Add folds a new observation of weight 1 into the summary.
+func (s *Summary) Add(x int64) { s.AddWeighted(x, 1) }
+
+// AddWeighted folds one observation of weight w into the summary: it
+// counts once in N and w times in Mean and Sum. Weight 0 counts an
+// observation whose value was not measured.
+func (s *Summary) AddWeighted(x, w int64) {
 	s.n++
-	s.sum += x
+	s.w += w
+	s.sum += x * w
 }
 
 // Merge folds another summary into s, as if every observation of o had been
 // added to s.
 func (s *Summary) Merge(o Summary) {
 	s.n += o.n
+	s.w += o.w
 	s.sum += o.sum
 }
 
-// N returns the number of observations.
+// N returns the exact number of observations.
 func (s *Summary) N() int64 { return s.n }
 
-// Sum returns the total of all observations.
+// Weight returns the weight total: N when every observation was added
+// with weight 1.
+func (s *Summary) Weight() int64 { return s.w }
+
+// Sum returns the weighted total of the observations.
 func (s *Summary) Sum() int64 { return s.sum }
 
-// Mean returns the arithmetic mean, or 0 for an empty summary. It divides
-// the exact sum by the count, so it does not depend on the order in which
-// observations were added or merged.
+// Mean returns the weighted mean, or 0 when the weight total is 0. It
+// divides the exact weighted sum by the weight total, so it does not
+// depend on the order in which observations were added or merged.
 func (s *Summary) Mean() float64 {
-	if s.n == 0 {
+	if s.w == 0 {
 		return 0
 	}
-	return float64(s.sum) / float64(s.n)
+	return float64(s.sum) / float64(s.w)
 }
 
 // TracePoint is one sample in a timestamped series: the size of a segment

@@ -143,9 +143,9 @@ func TestTracePointsIsCopy(t *testing.T) {
 
 func TestPoolStatsAccounting(t *testing.T) {
 	var s PoolStats
-	s.RecordAdd(70)
-	s.RecordAdd(90)
-	s.RecordLocalRemove(110)
+	s.RecordAdd(70, 1)
+	s.RecordAdd(90, 1)
+	s.RecordLocalRemove(110, 1)
 	s.RecordStealRemove(500, 3, 10)
 	s.RecordAbort(30)
 
@@ -172,10 +172,10 @@ func TestPoolStatsAccounting(t *testing.T) {
 
 func TestPoolStatsMerge(t *testing.T) {
 	var a, b PoolStats
-	a.RecordAdd(10)
+	a.RecordAdd(10, 1)
 	a.RecordBatchAdd(25, 4)
 	a.RecordStealRemove(33, 3, 2)
-	b.RecordLocalRemove(20)
+	b.RecordLocalRemove(20, 1)
 	b.RecordStealRemove(30, 2, 4)
 	b.RecordBatchLocalRemove(12, 3)
 	b.RecordBatchStealRemove(41, 5, 6, 4)
@@ -206,9 +206,9 @@ func TestPoolStatsMerge(t *testing.T) {
 		}
 	}
 
-	// OpCount, AvgOpTime and AvgTimePerElement read OpLat, which holds
-	// every operation once: they must agree with the per-kind summaries
-	// plus the one abort.
+	// Every record here has weight 1, so OpLat holds every operation once
+	// and OpCount, AvgOpTime and AvgTimePerElement must agree exactly with
+	// the per-kind summaries plus the one abort.
 	const abortTime = 10
 	ops := a.AddTime.N() + a.RemoveTime.N() + a.Aborts
 	total := a.AddTime.Sum() + a.RemoveTime.Sum() + abortTime
@@ -238,8 +238,8 @@ func TestOpKindString(t *testing.T) {
 
 func TestPoolStatsSummary(t *testing.T) {
 	var s PoolStats
-	s.RecordAdd(10)
-	s.RecordLocalRemove(20)
+	s.RecordAdd(10, 1)
+	s.RecordLocalRemove(20, 1)
 	s.RecordStealRemove(30, 2, 4)
 	s.RecordAbort(40)
 	s.RecordStealVictim(true)

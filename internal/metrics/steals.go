@@ -29,9 +29,17 @@ func (k OpKind) String() string {
 // for one experiment run (one trial). It is not safe for concurrent use;
 // concurrent collectors keep one PoolStats per processor and Merge at the
 // end of the run.
+//
+// Every count is exact. Durations may be sampled: a real pool with stats
+// on times one local fast-path add or remove in 64 per handle and records
+// it with weight 64 (RecordAdd and RecordLocalRemove take the weight), so
+// the time means and the OpLat quantiles are weighted estimates. The
+// simulator, pools with injected delays and every slow path (steals,
+// gift receipts, aborts, batches) record each operation with weight 1,
+// and their figures are exact.
 type PoolStats struct {
-	// Per-operation summaries (count and exact sum). Aborted removes
-	// appear only in OpLat, which holds every operation.
+	// Per-operation summaries (exact count, weighted sum). Aborted
+	// removes appear only in OpLat.
 	AddTime    Summary // duration of add operations (µs, virtual or real)
 	RemoveTime Summary // duration of completed removes, including searches
 
@@ -71,13 +79,14 @@ type PoolStats struct {
 	TenantSteals  int64 // successful remote steals classified by a tenant partition
 	ForeignSteals int64 // classified steals whose victim belonged to another tenant
 
-	// OpLat is the per-operation latency histogram: one observation per
-	// operation (adds, removes — local, stolen, batch — and aborts),
-	// recorded with the operation's duration in µs (virtual or
-	// wall-clock). OpCount, AvgOpTime and AvgTimePerElement read its
-	// count and exact sum. Recording is three atomic adds, so it stays on
-	// the 0-alloc hot path; percentiles are read at report time, after
-	// Merge.
+	// OpLat is the per-operation latency histogram over every kind of
+	// operation (adds, removes — local, stolen, batch — and aborts), in
+	// µs (virtual or wall-clock). It holds the timed operations, each
+	// with its weight, so its count is the weight total, not the exact
+	// operation count (OpCount). AvgOpTime and AvgTimePerElement read its
+	// weighted mean. A record is three atomic adds and untimed operations
+	// make none, so it stays on the 0-alloc hot path; percentiles are
+	// read at report time, after Merge.
 	OpLat LatencyHist
 }
 
@@ -101,19 +110,26 @@ func (s *PoolStats) CrossProbeFraction() float64 {
 	return float64(s.CrossProbes) / float64(s.RemoteProbes)
 }
 
-// RecordAdd records one completed add and its duration.
-func (s *PoolStats) RecordAdd(d int64) {
+// RecordAdd records one completed add and its duration d, with weight
+// w: 1 for an add timed on its own, the sampling stride for a sampled
+// add that stands for its stride, 0 for an add counted but not timed.
+func (s *PoolStats) RecordAdd(d, w int64) {
 	s.Adds++
-	s.AddTime.Add(d)
-	s.OpLat.Record(d)
+	s.AddTime.AddWeighted(d, w)
+	if w > 0 {
+		s.OpLat.RecordWeighted(d, w)
+	}
 }
 
-// RecordLocalRemove records a remove satisfied locally.
-func (s *PoolStats) RecordLocalRemove(d int64) {
+// RecordLocalRemove records a remove satisfied locally, with its
+// duration d and weight w as in RecordAdd.
+func (s *PoolStats) RecordLocalRemove(d, w int64) {
 	s.Removes++
 	s.LocalRemoves++
-	s.RemoveTime.Add(d)
-	s.OpLat.Record(d)
+	s.RemoveTime.AddWeighted(d, w)
+	if w > 0 {
+		s.OpLat.RecordWeighted(d, w)
+	}
 }
 
 // RecordStealRemove records a remove that needed a steal: duration d,
@@ -207,28 +223,35 @@ func (s *PoolStats) Merge(o *PoolStats) {
 // size. See OpCount for the per-operation denominator.
 func (s *PoolStats) Ops() int64 { return s.Adds + s.Removes }
 
-// OpCount returns the number of operations performed — adds, removes, and
-// aborted removes — counting one per call: a batch PutAll/GetN is one
-// operation however many elements it moves. Equals Ops()+Aborts under
-// single-element operations.
-func (s *PoolStats) OpCount() int64 { return s.OpLat.N() }
+// OpCount returns the exact number of operations performed — adds,
+// removes, and aborted removes — counting one per call: a batch
+// PutAll/GetN is one operation however many elements it moves. Equals
+// Ops()+Aborts under single-element operations.
+func (s *PoolStats) OpCount() int64 { return s.AddTime.N() + s.RemoveTime.N() + s.Aborts }
 
 // AvgOpTime returns the mean duration over all operations — adds,
 // removes, and aborted removes — the quantity plotted in the paper's
-// Figure 2.
+// Figure 2 (a weighted estimate when durations were sampled).
 func (s *PoolStats) AvgOpTime() float64 { return s.OpLat.Mean() }
 
 // AvgTimePerElement returns the mean operation time divided across the
 // elements moved: total time over adds, removes, and aborts, per element
 // added or removed. With single-element operations it equals AvgOpTime;
 // under batch operations it is the amortized per-element cost the batch
-// API exists to lower.
+// API exists to lower. The total is the weighted mean times the exact
+// operation count, which is the exact sum when every weight is 1; the
+// weighted sum alone would overstate it whenever a sampling stride is
+// only partly used.
 func (s *PoolStats) AvgTimePerElement() float64 {
 	n := s.Adds + s.Removes + s.Aborts
 	if n == 0 {
 		return 0
 	}
-	return float64(s.OpLat.Sum()) / float64(n)
+	total := float64(s.OpLat.Sum())
+	if ops := s.OpCount(); s.OpLat.N() != ops {
+		total = s.OpLat.Mean() * float64(ops)
+	}
+	return total / float64(n)
 }
 
 // StealFraction returns the fraction of completed remove *operations*

@@ -354,7 +354,7 @@ func (pr *Proc[T]) Put(v T) {
 	p.segs[target].Add(v)
 	p.emptyAbort = false // elements exist again: searches may proceed
 	p.recordTrace(pr.env, target)
-	pr.stats.RecordAdd(pr.env.Now() - start)
+	pr.stats.RecordAdd(pr.env.Now()-start, 1)
 }
 
 // PutAll adds every element of vs to one segment (the local one, or a
@@ -423,7 +423,7 @@ func (pr *Proc[T]) Get() (T, bool) {
 	pr.env.Charge(&p.segRes[pr.id], p.cfg.Costs.Cost(numa.AccessRemove, pr.id, pr.id))
 	if v, ok := p.segs[pr.id].Remove(); ok {
 		p.recordTrace(pr.env, pr.id)
-		pr.stats.RecordLocalRemove(pr.env.Now() - start)
+		pr.stats.RecordLocalRemove(pr.env.Now()-start, 1)
 		pr.observe(policy.Feedback{Got: 1, Elapsed: pr.env.Now() - start})
 		return v, true
 	}
